@@ -87,12 +87,13 @@ class NextOccurrenceTable:
         self.word = word
         self.m = m
         self.absent = L + 1
-        rows = [[self.absent] * (m + 1) for _ in range(L + 2)]
+        row = [self.absent] * (m + 1)
+        rows = [row, row.copy()]  # rows L+1 and L, built back to front
         for p in range(L - 1, -1, -1):
-            row = rows[p]
-            nxt = rows[p + 1]
-            row[1:] = nxt[1:]
+            row = row.copy()
             row[word[p]] = p + 1
+            rows.append(row)
+        rows.reverse()
         self._rows = rows
 
     def next_after(self, pos: int, letter: int) -> int:

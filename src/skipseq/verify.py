@@ -1,10 +1,10 @@
 """Independent checks of every claimed combinatorial property.
 
-Nothing in here trusts the generators: completeness is established by
-exhaustive enumeration of distinct-letter sequences (DFS over shared greedy
-match positions), supersequence status by exhaustive or seeded sampled
-permutation checks, and the quasi-palindrome bijection is reconstructed
-position by position from the concatenation.
+Nothing in here trusts the generators: completeness and exhaustive
+supersequence checks share one subset DP over letter sets, which covers
+every distinct-letter sequence without enumerating them; sampled checks
+match seeded random permutations; and the quasi-palindrome bijection is
+reconstructed position by position from the concatenation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional, Sequence as Seq
 
 import numpy as np
 
-from .core import NextOccurrenceTable, elements_after, is_subsequence
+from .core import NextOccurrenceTable, elements_after
 from .construct import (
     GeneratedList,
     TAG_SKIP,
@@ -42,8 +42,8 @@ __all__ = [
     "shortest_supersequence_oracle",
 ]
 
-# Beyond this alphabet size the exhaustive DFS exceeds desk scale; callers
-# must opt in explicitly with allow_long=True.
+# Beyond this alphabet size the exhaustive subset DP (2**m letter sets)
+# exceeds desk scale; callers must opt in explicitly with allow_long=True.
 EXHAUSTIVE_LIMIT = 14
 
 _SAMPLE_BATCH = 100_000
@@ -86,53 +86,35 @@ class MSetTrace:
     max_size: int
 
 
-def _dfs_distinct(table: NextOccurrenceTable, n: int, k: int):
-    """Lexicographic DFS over distinct-letter k-sequences sharing greedy
-    match positions.
+def _suffix_dp(word: tuple[int, ...], n: int, k: int) -> list[int]:
+    """Subset DP over the letter sets U of {1..n}, bit a-1 standing for a.
 
-    Returns (witness_or_None, nodes_visited).  A per-letter-set memo of the
-    deepest already-verified position prunes dominated subtrees: greedy match
-    positions are monotone, so a subtree that passed from position p also
-    passes from any p' <= p.  Pruning only ever skips passing subtrees, so
-    the first failure found is still the lexicographically least one.
+    G[U] is the most letters, counted from the end of word, that the
+    backward greedy match of any distinct-letter sequence of length k - |U|
+    over the letters outside U consumes: G[U] = max over a not in U of
+    next(G[U + a], a) in the reversed word, and G[U] = 0 once |U| >= k.
+    Greedy positions are monotone, so every such sequence is contained in
+    the suffix after position p iff p + G[U] <= len(word); in particular
+    word is k-complete iff G[0] <= len(word).  A sequence that runs off
+    the word yields len(word) + 1, which the table's sentinel row keeps
+    sticky.
     """
-    rows = table._rows
-    absent = table.absent
-    memo: dict[int, int] = {}
-    nodes = 0
-
-    def fill(prefix: list[int], mask: int) -> tuple[int, ...]:
-        rest = [a for a in range(1, n + 1) if not mask >> a & 1]
-        return tuple(prefix) + tuple(rest[: k - len(prefix)])
-
-    def rec(pos: int, mask: int, prefix: list[int]) -> Optional[Witness]:
-        nonlocal nodes
-        if len(prefix) == k:
-            return None
-        for a in range(1, n + 1):
-            if mask >> a & 1:
-                continue
-            nodes += 1
-            npos = rows[pos][a]
-            nmask = mask | 1 << a
-            if npos == absent:
-                prefix.append(a)
-                w = Witness(fill(prefix, nmask), k)
-                prefix.pop()
-                return w
-            if npos <= memo.get(nmask, 0):
-                continue
-            prefix.append(a)
-            w = rec(npos, nmask, prefix)
-            prefix.pop()
-            if w is not None:
-                return w
-            if memo.get(nmask, 0) < npos:
-                memo[nmask] = npos
-        return None
-
-    witness = rec(0, 0, [])
-    return witness, nodes
+    rows = NextOccurrenceTable(word[::-1], n)._rows
+    full = (1 << n) - 1
+    G = [0] * (full + 1)
+    for U in range(full, -1, -1):
+        if U.bit_count() >= k:
+            continue
+        best = 0
+        free = full ^ U
+        while free:
+            bit = free & -free
+            p = rows[G[U | bit]][bit.bit_length()]
+            if p > best:
+                best = p
+            free ^= bit
+        G[U] = best
+    return G
 
 
 def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
@@ -140,9 +122,30 @@ def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
     of word, else the lexicographically least failing one."""
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    table = NextOccurrenceTable(word, n)
-    witness, _ = _dfs_distinct(table, n, k)
-    return witness
+    word = tuple(word)
+    G = _suffix_dp(word, n, k)
+    L = len(word)
+    if G[0] <= L:
+        return None
+    # Walk forward: the smallest unused letter after which some sequence
+    # still fails, i.e. whose next position p leaves p + G[U + a] > L.
+    witness: list[int] = []
+    U = pos = 0
+    for _ in range(k):
+        for a in range(1, n + 1):
+            bit = 1 << (a - 1)
+            if U & bit:
+                continue
+            try:
+                p = word.index(a, pos) + 1
+            except ValueError:
+                p = L + 1
+            if p + G[U | bit] > L:
+                break
+        witness.append(a)
+        U |= bit
+        pos = p
+    return Witness(tuple(witness), k)
 
 
 def forward_complete(
@@ -212,12 +215,8 @@ def verify_supersequence_exhaustive(
             "pass allow_long=True or use sampled mode"
         )
     start = time.perf_counter()
-    table = NextOccurrenceTable(word, m)
-    witness, nodes = _dfs_distinct(table, m, m)
-    stats = {
-        "nodes_visited": nodes,
-        "elapsed_s": time.perf_counter() - start,
-    }
+    witness = is_k_complete(word, m, m)
+    stats = {"elapsed_s": time.perf_counter() - start}
     if witness is None:
         return VerificationReport("pass", "exhaustive", stats=stats)
     return VerificationReport("fail", "exhaustive", witness, stats)
@@ -386,34 +385,6 @@ def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
     return family
 
 
-def _contains_all_perms(word: Seq[int], m: int) -> bool:
-    """Subset-DP universality check used inside the shortest-length search.
-
-    E(S) = the largest greedy end position over all orderings of S; greedy
-    positions are monotone, so all permutations are contained iff no E(S)
-    runs off the end of the word.
-    """
-    table = NextOccurrenceTable(word, m)
-    rows = table._rows
-    absent = table.absent
-    size = 1 << m
-    E = [0] * size
-    for mask in range(1, size):
-        best = 0
-        sub = mask
-        while sub:
-            bit = sub & -sub
-            a = bit.bit_length()  # letter index: bit for letter a is 1<<(a-1)
-            pos = rows[E[mask ^ bit]][a]
-            if pos == absent:
-                return False
-            if pos > best:
-                best = pos
-            sub ^= bit
-        E[mask] = best
-    return True
-
-
 def shortest_supersequence_oracle(
     m: int, length_cap: Optional[int] = None, canonical: bool = True
 ) -> tuple[int, tuple[int, ...]]:
@@ -430,8 +401,6 @@ def shortest_supersequence_oracle(
     for L in range(m, cap + 1):
         found = _search_words(m, L, canonical)
         if found is not None:
-            report = verify_supersequence_exhaustive(found, m)
-            assert report.passed  # cross-check the fast DP against the DFS
             return L, found
     raise ValueError(f"no supersequence over {m} letters up to length {cap}")
 
@@ -444,7 +413,7 @@ def _search_words(
     def rec(i: int) -> Optional[tuple[int, ...]]:
         if i == L:
             w = tuple(word)
-            return w if _contains_all_perms(w, m) else None
+            return w if _suffix_dp(w, m, m)[0] <= L else None
         start = 1
         for a in range(start, m + 1):
             if canonical and (i == 0 and a != 1 or i > 0 and a == word[i - 1]):

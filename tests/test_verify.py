@@ -28,11 +28,21 @@ from skipseq.verify import (
 )
 
 
-def naive_supersequence_check(word, m):
-    return all(
-        is_subsequence(p, word)
-        for p in itertools.permutations(range(1, m + 1))
+def naive_least_missing(word, n, k):
+    """Lexicographically least distinct-letter k-sequence over 1..n that is
+    not a subsequence of word, or None."""
+    return next(
+        (
+            p
+            for p in itertools.permutations(range(1, n + 1), k)
+            if not is_subsequence(p, word)
+        ),
+        None,
     )
+
+
+def naive_supersequence_check(word, m):
+    return naive_least_missing(word, m, m) is None
 
 
 class TestIsKComplete:
@@ -54,20 +64,22 @@ class TestIsKComplete:
 
     def test_witness_is_lex_least(self):
         rng = random.Random(3)
+        passed = 0
         for _ in range(200):
-            n = rng.randint(2, 5)
-            word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 8)))
+            n = rng.randint(2, 6)
+            word = tuple(
+                rng.randint(1, n) for _ in range(rng.randint(0, 4 * n))
+            )
             k = rng.randint(1, n)
             w = is_k_complete(word, n, k)
-            failing = [
-                p
-                for p in itertools.permutations(range(1, n + 1), k)
-                if not is_subsequence(p, word)
-            ]
-            if w is None:
-                assert not failing
+            expected = naive_least_missing(word, n, k)
+            if expected is None:
+                assert w is None
+                passed += 1
             else:
-                assert w.permutation == min(failing)
+                assert w.permutation == expected
+                assert w.failed_k == k
+        assert passed  # the passing branch is exercised too
 
 
 class TestCompleteness:
@@ -93,6 +105,43 @@ class TestCompleteness:
         assert w.direction == "backward"
         sw = strongly_complete(bad, 3)
         assert sw.direction == "backward"
+
+    def test_agrees_with_naive_per_prefix_check(self):
+        def naive(sequences, n, k_max, direction):
+            word = ()
+            for k in range(1, k_max + 1):
+                if direction == "forward":
+                    word += tuple(sequences[k - 1])
+                else:
+                    word = tuple(sequences[-k]) + word
+                missing = naive_least_missing(word, n, k)
+                if missing is not None:
+                    return missing, k, direction
+            return None
+
+        def as_tuple(w):
+            if w is None:
+                return None
+            return w.permutation, w.failed_k, w.direction
+
+        rng = random.Random(11)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            sequences = [
+                tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                for _ in range(rng.randint(1, n + 2))
+            ]
+            k_max = rng.randint(1, min(n, len(sequences)))
+            fwd = naive(sequences, n, k_max, "forward")
+            bwd = naive(sequences, n, k_max, "backward")
+            assert as_tuple(forward_complete(sequences, n, k_max)) == fwd
+            assert as_tuple(backward_complete(sequences, n, k_max)) == bwd
+            assert as_tuple(strongly_complete(sequences, n, k_max)) == (
+                fwd or bwd
+            )
+            outcomes.add((fwd is None, bwd is None))
+        assert len(outcomes) == 4  # pass/fail in each direction occurs
 
     def test_monotone_in_k(self):
         # a pass at depth k implies no re-failure at any smaller depth
@@ -147,7 +196,10 @@ class TestExhaustive:
                 rng.randint(1, m) for _ in range(rng.randint(0, 3 * m))
             )
             report = verify_supersequence_exhaustive(word, m)
-            assert report.passed == naive_supersequence_check(word, m)
+            expected = naive_least_missing(word, m, m)
+            assert report.passed == (expected is None)
+            if expected is not None:
+                assert report.witness.permutation == expected
 
     def test_agrees_with_naive_on_built_words(self):
         for n in range(4, 7):
@@ -247,12 +299,12 @@ class TestOracle:
     def test_m_2(self):
         length, word = shortest_supersequence_oracle(2)
         assert length == 3
-        assert verify_supersequence_exhaustive(word, 2).passed
+        assert naive_supersequence_check(word, 2)
 
     def test_m_3(self):
         length, word = shortest_supersequence_oracle(3)
         assert length == 7
-        assert verify_supersequence_exhaustive(word, 3).passed
+        assert naive_supersequence_check(word, 3)
 
     def test_m_3_unpruned_cross_check(self):
         # guard the canonicalization against pruning bugs: exhaust all words
@@ -271,4 +323,4 @@ class TestOracle:
     def test_m_4(self):
         length, word = shortest_supersequence_oracle(4)
         assert length == 12
-        assert verify_supersequence_exhaustive(word, 4).passed
+        assert naive_supersequence_check(word, 4)
