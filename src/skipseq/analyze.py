@@ -15,7 +15,13 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .construct import ValidationError, validate
+from .construct import (
+    ValidationError,
+    build_supersequence,
+    generate,
+    valid_levels,
+    validate,
+)
 
 __all__ = [
     "LengthModel",
@@ -128,32 +134,24 @@ def length_model(s: int, m: int) -> LengthModel:
 
 
 def best_level(m: int) -> Optional[tuple[int, int]]:
-    """(s, predicted length) minimizing length over valid levels s >= 2."""
-    n = m - 1
-    candidates = []
-    if validate(2, n).ok:
-        candidates.append(2)
-    s = 3
-    while 4 * s + 1 <= n:  # n >= 4s+1 bounds the useful level range
-        if validate(s, n).ok:
-            candidates.append(s)
-        s += 1
-    if not candidates:
-        return None
-    s = min(candidates, key=lambda s: (predicted_length(s, m), s))
-    return s, predicted_length(s, m)
+    """(s, predicted length) minimizing length over valid levels s >= 2;
+    ties break to the smaller s."""
+    best = min(
+        ((predicted_length(s, m), s) for s in valid_levels(m - 1)), default=None
+    )
+    return None if best is None else (best[1], best[0])
 
 
 def comparison_table(
     ms: Iterable[int], with_actual: bool = False
 ) -> list[ComparisonRow]:
     """One row per m; best_s/best_len absent when no level is valid."""
-    from .construct import build_supersequence, generate
-
+    ms = list(ms)
+    bad = next((m for m in ms if not 5 <= m <= 10_000), None)
+    if bad is not None:
+        raise ValidationError(f"m={bad} outside supported range 5..10000")
     rows = []
     for m in ms:
-        if not 5 <= m <= 10_000:
-            raise ValidationError(f"m={m} outside supported range 5..10000")
         best = best_level(m)
         actual = None
         if with_actual and best is not None:

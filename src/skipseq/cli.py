@@ -109,7 +109,15 @@ def _cmd_verify(args) -> int:
 
 def _parse_range(text: str) -> range:
     lo, _, hi = text.partition(":")
-    return range(int(lo), int(hi) + 1)
+    try:
+        values = range(int(lo), int(hi) + 1)
+    except ValueError:
+        values = range(0)
+    if not values:
+        raise ValidationError(
+            f"malformed range {text!r}: expected lo:hi with integers lo <= hi"
+        )
+    return values
 
 
 def _cmd_analyze(args) -> int:

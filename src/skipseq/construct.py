@@ -12,6 +12,7 @@ the written definitions.  Levels:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,8 +24,8 @@ __all__ = [
     "GeneratedList",
     "Supersequence",
     "validate",
+    "valid_levels",
     "skip_letters",
-    "phi",
     "phi_reverse",
     "gen_t1",
     "gen_t2",
@@ -97,23 +98,21 @@ class Supersequence:
         return len(self.word)
 
 
-def _valid_ns(s: int):
-    """Predicate + generator parameters for valid n at level s."""
+def _is_valid(s: int, n: int) -> bool:
+    """The size/congruence rule for level s >= 1 at alphabet size n."""
     if s == 1:
-        return lambda n: n > 3
-    if s == 2:
-        # The written definition admits n = 6, but its clause layout then
-        # produces a repeated letter in sigma_4; we reject rather than guess.
-        return lambda n: n >= 9 and n % 3 == 0
-    return lambda n: n >= 4 * s + 1 and n % (2 * s - 1) == 3
+        return n > 3
+    # At s = 2 this reads n >= 9 and 3 | n.  The written definition also
+    # admits n = 6, but its clause layout then produces a repeated letter
+    # in sigma_4; we reject rather than guess.
+    return n >= 4 * s + 1 and (n - 3) % (2 * s - 1) == 0
 
 
 def validate(s: int, n: int) -> ValidationResult:
     """Check the size/congruence constraints for level s at alphabet size n."""
     if s < 1:
         return ValidationResult(False, f"level s={s} must be >= 1")
-    good = _valid_ns(s)
-    if good(n):
+    if _is_valid(s, n):
         return ValidationResult(True)
     if s == 1:
         reason = f"n={n} must be > 3 at level 1"
@@ -130,9 +129,24 @@ def validate(s: int, n: int) -> ValidationResult:
             f"n={n} must be >= {4 * s + 1} and = 3 (mod {2 * s - 1}) "
             f"at level {s}"
         )
-    below = next((v for v in range(n - 1, 0, -1) if good(v)), None)
-    above = next(v for v in range(n + 1, n + 8 * s + 10) if good(v))
+    below = next((v for v in range(n - 1, 0, -1) if _is_valid(s, v)), None)
+    above = next(v for v in range(n + 1, n + 8 * s + 10) if _is_valid(s, v))
     return ValidationResult(False, reason, below, above)
+
+
+def valid_levels(n: int) -> list[int]:
+    """Levels s >= 2 valid at n, ascending.
+
+    Level s needs 2s-1 to divide n-3, so the candidates are s = (d+1)/2 for
+    the odd divisors d >= 3 of n-3; the size bound n >= 4s+1 filters them.
+    """
+    k = n - 3
+    divisors = set()
+    for d in range(1, math.isqrt(max(k, 0)) + 1):
+        if k % d == 0:
+            divisors.update((d, k // d))
+    levels = ((d + 1) // 2 for d in divisors if d % 2 and d >= 3)
+    return sorted(s for s in levels if _is_valid(s, n))
 
 
 def _require_valid(s: int, n: int) -> None:
@@ -144,11 +158,6 @@ def _require_valid(s: int, n: int) -> None:
 def skip_letters(s: int, n: int) -> tuple[int, ...]:
     """The s-1 letters n-s+2..n."""
     return tuple(range(n - s + 2, n + 1))
-
-
-def phi(s: int, n: int) -> tuple[int, ...]:
-    """Ascending word of skip letters."""
-    return skip_letters(s, n)
 
 
 def phi_reverse(s: int, n: int) -> tuple[int, ...]:
@@ -217,7 +226,7 @@ def gen_ts(s: int, n: int) -> GeneratedList:
     _require_valid(s, n)
     cyc = 2 * s - 1
     fwd = pslice  # alias keeps the clauses below one line each
-    ph = phi(s, n)
+    ph = skip_letters(s, n)
     ph_rev = phi_reverse(s, n)
     t1 = gen_t1(n)
     seqs: list[tuple[int, ...]] = [t1.seq(k) for k in range(1, s + 2)]
@@ -293,29 +302,6 @@ def build_supersequence(glist: GeneratedList) -> Supersequence:
     return Supersequence(tuple(word), m, glist)
 
 
-def _valid_levels(n: int) -> list[int]:
-    """Levels s >= 2 whose constraints admit this n."""
-    out = []
-    if validate(2, n).ok:
-        out.append(2)
-    s = 3
-    while 4 * s + 1 <= n:
-        if validate(s, n).ok:
-            out.append(s)
-        s += 1
-    return out
-
-
-def _best_level(n: int) -> Optional[int]:
-    """Valid level with the smallest predicted length (ties: smaller s)."""
-    from .analyze import predicted_length
-
-    levels = _valid_levels(n)
-    if not levels:
-        return None
-    return min(levels, key=lambda s: (predicted_length(s, n + 1), s))
-
-
 def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
     """Build a supersequence over exactly m letters.
 
@@ -326,29 +312,32 @@ def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
       restrict    -- build at the smallest valid n' >= m-1 and delete every
                      letter above m (restriction preserves the property)
     """
+    # analyze imports this module, so the level choice is imported late
+    from .analyze import best_level
+
     if m < 5:
         raise ValidationError(f"m={m} must be >= 5")
     n = m - 1
     if strategy == "t1_fallback":
         return build_supersequence(gen_t1(n))
     if strategy in ("exact", "best_valid"):
-        best = _best_level(n)
+        best = best_level(m)
         if best is not None:
-            return build_supersequence(generate(best, n))
+            return build_supersequence(generate(best[0], n))
         if strategy == "best_valid":
             return build_supersequence(gen_t1(n))
         below = next(
-            (v for v in range(m - 1, 5, -1) if _valid_levels(v - 1)), None
+            (v for v in range(m - 1, 5, -1) if valid_levels(v - 1)), None
         )
-        above = next(v for v in range(m + 1, m + 30) if _valid_levels(v - 1))
+        above = next(v for v in range(m + 1, m + 30) if valid_levels(v - 1))
         raise ValidationError(
             f"no exact construction at m={m} (no level s >= 2 valid at "
             f"n={n}); nearest valid m: {below} and {above}"
         )
     if strategy == "restrict":
-        np_ = next(v for v in range(n, n + 30) if _valid_levels(v))
-        best = _best_level(np_)
-        full = build_supersequence(generate(best, np_))
+        np_ = next(v for v in range(n, n + 30) if valid_levels(v))
+        s, _ = best_level(np_ + 1)
+        full = build_supersequence(generate(s, np_))
         word = tuple(a for a in full.word if a <= m)
         return Supersequence(word, m, full.source)
     raise ValidationError(f"unknown strategy {strategy!r}")

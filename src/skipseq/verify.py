@@ -414,8 +414,7 @@ def _search_words(
         if i == L:
             w = tuple(word)
             return w if _suffix_dp(w, m, m)[0] <= L else None
-        start = 1
-        for a in range(start, m + 1):
+        for a in range(1, m + 1):
             if canonical and (i == 0 and a != 1 or i > 0 and a == word[i - 1]):
                 continue
             word[i] = a

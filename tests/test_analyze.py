@@ -1,5 +1,6 @@
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from skipseq import (
     generate,
     predicted_length,
 )
+from skipseq import analyze
 from skipseq.analyze import (
     ValidationError,
     best_level,
@@ -24,6 +26,7 @@ from skipseq.analyze import (
     skip_cycle_count,
     zalinescu_length,
 )
+from skipseq.construct import valid_levels
 
 
 def valid_pairs(s_max=12, n_max=60):
@@ -172,3 +175,23 @@ class TestComparisonTable:
     def test_best_level_search(self):
         assert best_level(25) == (2, 573)
         assert best_level(7) is None
+
+    def test_out_of_range_m_rejected(self):
+        with pytest.raises(ValidationError, match="m=10001"):
+            comparison_table(range(5, 10002))
+
+    def test_range_checked_before_any_row(self, monkeypatch):
+        def no_rows(m):
+            raise AssertionError(f"row for m={m} computed before the range check")
+
+        monkeypatch.setattr(analyze, "best_level", no_rows)
+        with pytest.raises(ValidationError):
+            comparison_table([5, 6, 10_001])
+
+
+def test_levels_match_congruence_rule():
+    expected = defaultdict(list)
+    for s, n in valid_pairs(s_max=750, n_max=3000):
+        expected[n].append(s)
+    for n in range(0, 3001):
+        assert valid_levels(n) == expected[n], n

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -159,6 +160,37 @@ class TestAnalyze:
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "--m", "3")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--m-range", "10:5"),
+            ("--m-range", "5"),
+            ("--coefficients", "--s-range", "5:2"),
+        ],
+        ids=["empty", "no-colon", "empty-s-range"],
+    )
+    def test_malformed_range_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 2
+        assert out == ""
+        assert "lo:hi" in err
+
+    def test_csv_5_2000_unchanged(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--m-range", "5:2000", "--format", "csv"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f55591ffe4bf5b12925a1c795f9bb41178693f4fc300adc6598a2a932878e947"
+        )
+
+    def test_csv_full_supported_range(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--m-range", "5:10000", "--format", "csv"
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 9996
 
 
 class TestOracleAndTrace:

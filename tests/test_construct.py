@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import golden
@@ -15,9 +20,9 @@ from skipseq.construct import (
     TAG_INITIAL,
     TAG_SKIP,
     construct_for_m,
-    phi,
     phi_reverse,
     skip_letters,
+    valid_levels,
 )
 from skipseq.verify import quasi_palindrome, verify_supersequence_exhaustive
 
@@ -53,6 +58,13 @@ class TestValidate:
         assert not validate(5, 20).ok
 
 
+class TestValidLevels:
+    def test_matches_validate(self):
+        for n in range(0, 201):
+            expected = [s for s in range(2, n + 1) if validate(s, n).ok]
+            assert valid_levels(n) == expected, n
+
+
 class TestGolden:
     def test_t1_6(self):
         assert list(gen_t1(6).sequences) == golden.T1_6
@@ -72,7 +84,7 @@ class TestGolden:
 class TestSkipLetters:
     def test_values(self):
         assert skip_letters(3, 18) == (17, 18)
-        assert phi(4, 24) == (22, 23, 24)
+        assert skip_letters(4, 24) == (22, 23, 24)
         assert phi_reverse(4, 24) == (24, 23, 22)
         assert len(skip_letters(5, 24)) == 4
 
@@ -198,3 +210,20 @@ class TestConstructForM:
                 relabel = {a: a - (a > drop) for a in range(1, m + 1)}
                 reduced = tuple(relabel[a] for a in word if a != drop)
                 assert verify_supersequence_exhaustive(reduced, m - 1).passed
+
+
+@pytest.mark.parametrize("module", ["construct", "analyze", "cli"])
+def test_construct_for_m_after_any_first_import(module):
+    # construct_for_m imports analyze at call time; it must work whichever
+    # module a fresh interpreter loads first
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        f"import skipseq.{module}\n"
+        "from skipseq.construct import construct_for_m\n"
+        "assert construct_for_m(25).length == 573\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
