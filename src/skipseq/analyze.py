@@ -1,8 +1,9 @@
 """Exact length accounting: per-level predicted lengths, skip-cycle counts,
 asymptotic coefficient, and comparison tables against the older baselines.
 
-Everything is integer/rational arithmetic; the ceiling in the closed form is
-evaluated symbolically so large m cannot drift.
+Everything is integer/rational arithmetic; the ceiling in each closed form
+is computed exactly, as m*m minus an integer floor division, so large m
+cannot drift.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -77,7 +77,8 @@ def zalinescu_length(m: int) -> int:
 
 
 def radomirovic_length(m: int) -> int:
-    return math.ceil(m * m - Fraction(7, 3) * m + Fraction(19, 3))
+    # ceil(m^2 - (7m - 19)/3)
+    return m * m - (7 * m - 19) // 3
 
 
 def coefficient(s: int) -> Fraction:
@@ -118,7 +119,8 @@ def concat_length(s: int, m: int) -> int:
 def predicted_length(s: int, m: int) -> int:
     """Supersequence length via the closed form, exactly."""
     _require_level(s, m)
-    return math.ceil(m * m - coefficient(s) * m + constant_term(s))
+    # ceil(m^2 - coefficient(s)*m + constant_term(s)), with ceil(-x) = -floor(x)
+    return m * m - ((5 * s - 3) * m - (2 * s * s + 9 * s - 7)) // (2 * s - 1)
 
 
 def length_model(s: int, m: int) -> LengthModel:
@@ -172,11 +174,10 @@ def comparison_table(
 
 def rows_to_csv(rows: Iterable[ComparisonRow]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        record = asdict(row)
-        writer.writerow({k: "" if record[k] is None else record[k] for k in CSV_FIELDS})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    for row in rows:  # csv writes None as an empty field
+        writer.writerow([getattr(row, k) for k in CSV_FIELDS])
     return buf.getvalue()
 
 

@@ -61,12 +61,15 @@ def is_subsequence(candidate: Iterable[int], word: Seq[int]) -> bool:
 
 def elements_after(seq: Seq[int], a: int) -> set[int]:
     """Set of letters occurring strictly after the unique occurrence of a."""
-    hits = [i for i, b in enumerate(seq) if b == a]
-    if len(hits) != 1:
+    try:
+        after = set(seq[seq.index(a) + 1 :])
+    except ValueError:  # a does not occur
+        after = None
+    if after is None or a in after:
         raise ValueError(
-            f"letter {a} occurs {len(hits)} times, expected exactly once"
+            f"letter {a} occurs {seq.count(a)} times, expected exactly once"
         )
-    return set(seq[hits[0] + 1 :])
+    return after
 
 
 class NextOccurrenceTable:
@@ -76,6 +79,12 @@ class NextOccurrenceTable:
     ``absent`` (= L+1) is the sentinel for "no further occurrence"; row L+1
     exists too and maps every letter to ``absent``, which makes chained
     lookups sticky past a failure.
+
+    Two independent forms of the same table: Python list rows, built on
+    first use by ``next_after``, ``match`` and the subset DP (fast for the
+    many short words it checks), and the int32 array that ``as_array``
+    builds directly from the word for vectorized matching, without the
+    rows.
     """
 
     def __init__(self, word: Seq[int], m: int):
@@ -83,18 +92,25 @@ class NextOccurrenceTable:
         for a in word:
             if not 1 <= a <= m:
                 raise ValueError(f"letter {a} outside alphabet 1..{m}")
-        L = len(word)
         self.word = word
         self.m = m
-        self.absent = L + 1
-        row = [self.absent] * (m + 1)
-        rows = [row, row.copy()]  # rows L+1 and L, built back to front
-        for p in range(L - 1, -1, -1):
-            row = row.copy()
-            row[word[p]] = p + 1
-            rows.append(row)
-        rows.reverse()
-        self._rows = rows
+        self.absent = len(word) + 1
+        self._row_lists = None
+
+    @property
+    def _rows(self) -> list[list[int]]:
+        rows = self._row_lists
+        if rows is None:
+            word, absent = self.word, self.absent
+            row = [absent] * (self.m + 1)
+            rows = [row, row.copy()]  # rows L+1 and L, built back to front
+            for p in range(len(word) - 1, -1, -1):
+                row = row.copy()
+                row[word[p]] = p + 1
+                rows.append(row)
+            rows.reverse()
+            self._row_lists = rows
+        return rows
 
     def next_after(self, pos: int, letter: int) -> int:
         """Smallest index > pos holding letter, or ``absent``."""
@@ -104,13 +120,26 @@ class NextOccurrenceTable:
 
     def match(self, candidate: Iterable[int]) -> int:
         """Greedy-match candidate; final matched position, or ``absent``."""
+        rows = self._rows
         pos = 0
         for a in candidate:
-            pos = self._rows[pos][a]
+            pos = rows[pos][a]
             if pos == self.absent:
                 return self.absent
         return pos
 
     def as_array(self) -> np.ndarray:
-        """(L+2, m+1) int array view of the table, for vectorized matching."""
-        return np.array(self._rows, dtype=np.int64)
+        """(L+2, m+1) int32 array of the table, for vectorized matching.
+
+        Row p holds p+1 at its own letter and ``absent`` elsewhere; a
+        running minimum from the last row up then carries each occurrence
+        back to every earlier row.
+        """
+        L = len(self.word)
+        table = np.full((L + 2, self.m + 1), self.absent, dtype=np.int32)
+        table[np.arange(L), np.array(self.word, dtype=np.intp)] = np.arange(
+            1, L + 1
+        )
+        back = table[::-1]
+        np.minimum.accumulate(back, axis=0, out=back)
+        return table

@@ -224,10 +224,18 @@ def verify_supersequence_exhaustive(
 
 def _check_rows(nxt: np.ndarray, perms: np.ndarray, absent: int) -> int:
     """Vectorized greedy match of permutation rows; index of the first
-    failing row, or -1."""
-    pos = np.zeros(len(perms), dtype=np.int64)
+    failing row, or -1.
+
+    Gathers from the flattened table at pos * width + letter, computed in
+    np.intp so that an int32 table cannot overflow the index.
+    """
+    width = nxt.shape[1]
+    flat = nxt.ravel()
+    pos = np.zeros(len(perms), dtype=np.intp)
     for j in range(perms.shape[1]):
-        pos = nxt[pos, perms[:, j]]
+        idx = np.multiply(pos, width, dtype=np.intp)
+        idx += perms[:, j]
+        pos = flat[idx]
     bad = np.flatnonzero(pos >= absent)
     return int(bad[0]) if len(bad) else -1
 
@@ -239,18 +247,24 @@ def verify_supersequence_sampled(
     seed: int,
     extra: Seq[Seq[int]] = (),
 ) -> VerificationReport:
-    """Check `count` uniformly drawn permutations (Fisher-Yates shuffles from
-    a seeded PRNG) plus the deterministic `extra` family.
+    """Check the deterministic `extra` family, then `count` uniformly drawn
+    permutations (Fisher-Yates shuffles from a seeded PRNG).
 
+    Every `extra` member must have length m and letters in 1..m.
     Bit-identical for identical (word, m, count, seed, extra).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    extra = list(extra)
+    if any(len(perm) != m for perm in extra):
+        raise ValueError(f"every extra permutation must have length m={m}")
+    family = np.array(extra, dtype=np.int64).reshape(len(extra), m)
+    if family.size and not (1 <= family.min() and family.max() <= m):
+        raise ValueError(f"extra permutations must use letters 1..{m}")
     start = time.perf_counter()
     table = NextOccurrenceTable(word, m)
     nxt = table.as_array()
     absent = table.absent
-    checked = 0
 
     def report(verdict, witness=None):
         stats = {
@@ -259,10 +273,11 @@ def verify_supersequence_sampled(
         }
         return VerificationReport(verdict, "sampled", witness, stats, seed)
 
-    for perm in extra:
-        checked += 1
-        if table.match(perm) == absent:
-            return report("fail", Witness(tuple(perm), m))
+    bad = _check_rows(nxt, family, absent)
+    if bad >= 0:
+        checked = bad + 1
+        return report("fail", Witness(tuple(extra[bad]), m))
+    checked = len(extra)
     rng = np.random.default_rng(seed)
     base = np.arange(1, m + 1, dtype=np.int64)
     remaining = count

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,9 +90,9 @@ class TestElementsAfter:
         assert elements_after((5, 1, 9), 5) == {1, 9}
 
     def test_absent_or_duplicated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="occurs 0 times"):
             elements_after((1, 2), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="occurs 2 times"):
             elements_after((1, 2, 1), 1)
 
 
@@ -130,3 +131,24 @@ class TestNextOccurrenceTable:
             cand = tuple(rng.randint(1, m) for _ in range(rng.randint(0, 8)))
             t = NextOccurrenceTable(word, m)
             assert (t.match(cand) != t.absent) == is_subsequence(cand, word)
+
+    def test_as_array_matches_rows(self):
+        # the array and the list rows are built independently; they must
+        # agree in every cell, including the sentinel row and column 0
+        rng = random.Random(13)
+        words = [((), 3)]
+        for _ in range(60):
+            m = rng.randint(1, 9)
+            used = rng.randint(1, m)  # letters used..m never occur
+            words.append(
+                (tuple(rng.randint(1, used) for _ in range(rng.randint(0, 30))), m)
+            )
+        for word, m in words:
+            t = NextOccurrenceTable(word, m)
+            arr = t.as_array()
+            assert arr.dtype == np.int32
+            assert arr.shape == (len(word) + 2, m + 1)
+            assert (arr[:, 0] == t.absent).all()
+            for p in range(len(word) + 2):
+                for a in range(1, m + 1):
+                    assert arr[p, a] == t.next_after(p, a)

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,8 @@ from skipseq.verify import (
     adversarial_permutations,
     skip_chain_rho,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def naive_least_missing(word, n, k):
@@ -234,6 +240,75 @@ class TestSampled:
         b = verify_supersequence_sampled(word, 10, 2000, seed=99)
         assert a.verdict == b.verdict
         assert a.stats["permutations_checked"] == b.stats["permutations_checked"]
+
+    def test_extra_first_failure_is_witness(self):
+        rng = random.Random(17)
+        full = build_supersequence(gen_t1(6)).word
+        failures = 0
+        for _ in range(60):
+            p = rng.randrange(len(full))
+            word = full[:p] + full[p + 1 :]
+            extra = [tuple(rng.sample(range(1, 8), 7)) for _ in range(30)]
+            report = verify_supersequence_sampled(word, 7, 50, 1, extra)
+            first = next(
+                (i for i, q in enumerate(extra) if not is_subsequence(q, word)),
+                None,
+            )
+            if first is None:
+                continue
+            failures += 1
+            assert report.witness.permutation == extra[first]
+            assert report.stats["permutations_checked"] == first + 1
+        assert failures >= 10
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[(1, 2)], [(1, 2, 3), (1, 2)], [(1, 2, 4)], [(0, 1, 2)]],
+        ids=["short", "short-later", "letter-above-m", "letter-0"],
+    )
+    def test_malformed_extra_rejected(self, extra):
+        with pytest.raises(ValueError, match="extra"):
+            verify_supersequence_sampled(golden.INTRO_WORD_3, 3, 10, 1, extra)
+
+    def test_seeded_failure_replays_pinned_values(self):
+        # T3 n=13 word with position 65 (a 9) deleted; the values were
+        # recorded from the per-member, int64-table implementation
+        word = build_supersequence(gen_ts(3, 13)).word
+        word = word[:65] + word[66:]
+        report = verify_supersequence_sampled(word, 14, 300_000, seed=2)
+        assert report.witness.permutation == (
+            12, 10, 8, 3, 14, 9, 7, 5, 1, 13, 4, 2, 11, 6,
+        )
+        assert report.stats["permutations_checked"] == 138_595
+        report = verify_supersequence_sampled(
+            word, 14, 300_000, seed=2, extra=adversarial_permutations(3, 13)
+        )
+        assert report.witness.permutation == tuple(range(13, 0, -1)) + (14,)
+        assert report.stats["permutations_checked"] == 2
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_m299_peak_rss(self):
+        # The sampled path builds only the (L+2) x 300 int32 table, about
+        # 100 MiB at L = 88 691. The child reports VmHWM, the peak RSS of
+        # its own image: its ru_maxrss would also count this process's
+        # RSS at the spawn, which earlier tests in the session inflate.
+        code = (
+            "from skipseq import cli\n"
+            "code = cli.main(['verify', '--s', '3', '--n', '298', '--sampled',"
+            " '--count', '10000', '--seed', '1', '--format', 'json'])\n"
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(code, hwm[0].split()[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        code, peak_kib = map(int, result.stdout.split("\n")[-2].split())
+        assert code == 0
+        assert peak_kib < 256 * 1024
 
 
 class TestAdversarial:
