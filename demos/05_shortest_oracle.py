@@ -1,9 +1,12 @@
 """Re-derive the known shortest supersequences for tiny alphabets.
 
-Iterative deepening over candidate words (first letter fixed, no adjacent
-repeats) finds the minimal length exactly.  Both optima coincide with the
-interposed level-1 construction, which is why the small classical words
-were long believed unbeatable.
+Iterative deepening over candidate lengths finds the minimal length
+exactly.  Each length is a depth-first search over word prefixes (first
+letter fixed, no adjacent repeats) that carries the subset DP forward one
+letter at a time and cuts any prefix whose DP state, last letter and
+letters left are already proven to reach no supersequence.  The optima
+coincide with the interposed level-1 construction, which is why the small
+classical words were long believed unbeatable.
 """
 
 import time

@@ -2,7 +2,8 @@
 
 Nothing in here trusts the generators: completeness and exhaustive
 supersequence checks share one subset DP over letter sets, which covers
-every distinct-letter sequence without enumerating them; sampled checks
+every distinct-letter sequence without enumerating them; the shortest-length
+oracle carries the same DP forward over word prefixes; sampled checks
 match seeded random permutations; and the quasi-palindrome bijection is
 reconstructed position by position from the concatenation.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence as Seq
+from typing import Callable, Optional, Sequence as Seq
 
 import numpy as np
 
@@ -338,6 +339,27 @@ def trace_m_sets(
     return MSetTrace(tuple(steps), terminated, max_size)
 
 
+def _letters_after(
+    glist: GeneratedList,
+) -> Callable[[int, int], Optional[int]]:
+    """after(i, a): the bitmask (bit x for letter x) of the letters after a
+    in sigma_i, or None if a is not in sigma_i, built on first use."""
+    memo: dict[tuple[int, int], Optional[int]] = {}
+
+    def after(i: int, a: int) -> Optional[int]:
+        if (i, a) not in memo:
+            seq = glist.seq(i)
+            mask = None
+            if a in seq:
+                mask = 0
+                for x in seq[seq.index(a) + 1 :]:
+                    mask |= 1 << x
+            memo[i, a] = mask
+        return memo[i, a]
+
+    return after
+
+
 def skip_chain_rho(
     glist: GeneratedList, k: int, last: int
 ) -> tuple[int, ...]:
@@ -348,36 +370,42 @@ def skip_chain_rho(
     to maximize the size of the following set (ties to the smallest letter);
     once the chain dies the front is padded with unused letters ascending.
     """
-    n = glist.n
     if glist.tag(k) != TAG_SKIP:
         raise ValueError(f"k={k} is not a skip-sequence index")
+    return _skip_chain(_letters_after(glist), glist.n, k, last)
+
+
+def _skip_chain(
+    after: Callable[[int, int], Optional[int]], n: int, k: int, last: int
+) -> tuple[int, ...]:
+    """skip_chain_rho over a _letters_after lookup, which chains of one
+    list share; M sets and letter sets are bitmasks."""
     rho: dict[int, int] = {k: last}
-    removed: set[int] = set()
+    removed = 0
     idx = k - 1
     while idx >= 1:
-        seq = glist.seq(idx)
-        prev_elem = rho[idx + 1]
-        if prev_elem not in seq:
+        prev = rho[idx + 1]
+        tail = after(idx, prev)
+        if tail is None:
             break
-        m_set = elements_after(seq, prev_elem) - removed
+        m_set = tail & ~removed
         if not m_set or idx == 1:
             break
-
-        def next_size(a: int) -> int:
-            nseq = glist.seq(idx - 1)
-            if a not in nseq:
-                return -1
-            return len(elements_after(nseq, a) - removed - {prev_elem})
-
-        pick = max(sorted(m_set), key=next_size)
+        removed |= 1 << prev
+        best = -2
+        while m_set:
+            bit = m_set & -m_set
+            a = bit.bit_length() - 1
+            rest = after(idx - 1, a)
+            size = -1 if rest is None else (rest & ~removed).bit_count()
+            if size > best:
+                best, pick = size, a
+            m_set ^= bit
         rho[idx] = pick
-        removed.add(prev_elem)
         idx -= 1
-    unused = [a for a in range(1, n + 1) if a not in rho.values()]
-    out: list[int] = []
-    for p in range(1, k + 1):
-        out.append(rho[p] if p in rho else unused.pop(0))
-    return tuple(out)
+    used = set(rho.values())
+    unused = iter(a for a in range(1, n + 1) if a not in used)
+    return tuple(rho[p] if p in rho else next(unused) for p in range(1, k + 1))
 
 
 def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
@@ -392,10 +420,12 @@ def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
     for r in range(1, m):
         family.append(identity[r:] + identity[:r])
     if s >= 2:
+        after = _letters_after(glist)
         for k in glist.skip_indices():
             for a in skip_letters(s, n):
-                chain = skip_chain_rho(glist, k, a)
-                pad = tuple(x for x in range(1, m + 1) if x not in chain)
+                chain = _skip_chain(after, n, k, a)
+                in_chain = set(chain)
+                pad = tuple(x for x in range(1, m + 1) if x not in in_chain)
                 family.append(pad + chain)
     return family
 
@@ -406,36 +436,99 @@ def shortest_supersequence_oracle(
     """Smallest length admitting a supersequence over {1..m}, found by
     iterative deepening over candidate words.
 
-    With canonical=True words start with letter 1 and contain no adjacent
-    equal letters; both prunings preserve at least one minimal supersequence.
+    Each length is a depth-first search over prefixes in lexicographic
+    order.  Every prefix carries the subset DP forward one letter at a
+    time, and a prefix whose DP state, last letter and letters left are
+    already proven to reach no supersequence is cut with its subtree; the
+    proofs are kept across lengths.  The word returned is the
+    lexicographically least supersequence of the smallest length.  With
+    canonical=True words start with letter 1 and contain no adjacent equal
+    letters; both prunings preserve at least one minimal supersequence.
     Only desk-scale alphabets (m <= 4) are supported.
     """
     if not 1 <= m <= 4:
         raise ValueError(f"oracle supports 1 <= m <= 4, got m={m}")
     cap = length_cap if length_cap is not None else m * m
-    for L in range(m, cap + 1):
-        found = _search_words(m, L, canonical)
-        if found is not None:
-            return L, found
+    found = _search_words(m, cap, canonical)
+    if found is not None:
+        return len(found), found
     raise ValueError(f"no supersequence over {m} letters up to length {cap}")
 
 
-def _search_words(
-    m: int, L: int, canonical: bool
-) -> Optional[tuple[int, ...]]:
-    word = [0] * L
+def _prefix_dp(m: int) -> tuple[Callable[[int, int], int], int]:
+    """The subset DP carried forward over a word read one letter at a time.
 
-    def rec(i: int) -> Optional[tuple[int, ...]]:
-        if i == L:
-            w = tuple(word)
-            return w if _suffix_dp(w, m, m)[0] <= L else None
+    The state is an int with one bit per pair (S, a), S a set of letters
+    from {1..m} and a in S, set iff every ordering of S that ends in a is
+    a subsequence of the prefix read so far; S is complete when all of its
+    bits are set.  Appending c sets bit (S, c) for every S containing c
+    whose remainder S - c is empty or complete, and changes no other bit,
+    so a repeated letter leaves the state as it is.  Returns the memoised
+    step(state, c), starting from state 0 (the empty prefix), and the bits
+    of the full alphabet: a word is a supersequence iff its state has all
+    of them set.
+    """
+    full = (1 << m) - 1
+    complete = [
+        sum(1 << (S * m + a) for a in range(m) if S >> a & 1)
+        for S in range(full + 1)
+    ]
+    rules = [[]] + [
+        [
+            (complete[S ^ (1 << (c - 1))], 1 << (S * m + c - 1))
+            for S in range(full + 1)
+            if S >> (c - 1) & 1
+        ]
+        for c in range(1, m + 1)
+    ]
+    after: list[dict[int, int]] = [{} for _ in rules]
+
+    def step(state: int, c: int) -> int:
+        nxt = after[c].get(state)
+        if nxt is None:
+            nxt = state
+            for need, bit in rules[c]:
+                if state & need == need:
+                    nxt |= bit
+            after[c][state] = nxt
+        return nxt
+
+    return step, complete[full]
+
+
+def _search_words(
+    m: int, cap: int, canonical: bool
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically least supersequence of the smallest length
+    in m..cap, or None.
+
+    dead maps (last letter, letters left) to the states proven to reach
+    no supersequence from there; the last letter is kept only when
+    canonical=True, the one case where it restricts the next letter.
+    """
+    step, goal = _prefix_dp(m)
+    dead: dict[tuple[int, int], set[int]] = {}
+    word: list[int] = []
+
+    def rec(state: int, last: int, left: int) -> Optional[tuple[int, ...]]:
+        if not left:
+            return tuple(word) if state & goal == goal else None
+        proven = dead.setdefault((last, left), set())
+        if state in proven:
+            return None
         for a in range(1, m + 1):
-            if canonical and (i == 0 and a != 1 or i > 0 and a == word[i - 1]):
+            if a == last or canonical and not word and a != 1:
                 continue
-            word[i] = a
-            hit = rec(i + 1)
+            word.append(a)
+            hit = rec(step(state, a), a if canonical else 0, left - 1)
             if hit is not None:
                 return hit
+            word.pop()
+        proven.add(state)
         return None
 
-    return rec(0)
+    for L in range(m, cap + 1):
+        found = rec(0, 0, L)
+        if found is not None:
+            return found
+    return None

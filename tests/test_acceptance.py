@@ -136,12 +136,11 @@ def test_criterion_7_oracle_m3():
     _ok("7 (shortest-length oracle, m=3)")
 
 
-@pytest.mark.slow
 def test_criterion_7_oracle_m4():
     length, word = shortest_supersequence_oracle(4)
     assert length == 12
     assert verify_supersequence_exhaustive(word, 4).passed
-    _ok("7 (shortest-length oracle, m=4, slow tier)")
+    _ok("7 (shortest-length oracle, m=4)")
 
 
 def test_criterion_8_negative_controls():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -27,6 +28,7 @@ from skipseq import (
 )
 from skipseq.verify import (
     EXHAUSTIVE_LIMIT,
+    _prefix_dp,
     adversarial_permutations,
     skip_chain_rho,
 )
@@ -312,6 +314,39 @@ class TestSampled:
 
 
 class TestAdversarial:
+    @pytest.mark.parametrize(
+        "s, n, digest",
+        [
+            (3, 98, "72d80d08656e8a09"),
+            (3, 298, "eb529bd0001a5892"),
+            (4, 24, "6850bd8873094313"),
+            (2, 12, "8829fff4b58b5773"),
+            (3, 13, "70f549b0eaf7229c"),
+            (5, 39, "2ecf1cc59bbd3548"),
+            (1, 20, "22b50588807c06bf"),
+            (6, 47, "2576132fa28b259a"),
+        ],
+    )
+    def test_family_pinned(self, s, n, digest):
+        # the family must stay bit-identical: sha256 of its repr, 16 hex digits
+        family = adversarial_permutations(s, n)
+        assert hashlib.sha256(repr(family).encode()).hexdigest()[:16] == digest
+
+    def test_chains_match_skip_chain_rho(self):
+        for s, n in [(2, 12), (3, 18), (4, 24), (5, 39)]:
+            glist = generate(s, n)
+            m = n + 1
+            chains = [
+                skip_chain_rho(glist, k, a)
+                for k in glist.skip_indices()
+                for a in range(n - s + 2, n + 1)
+            ]
+            family = adversarial_permutations(s, n)
+            assert family[m + 1 :] == [
+                tuple(x for x in range(1, m + 1) if x not in chain) + chain
+                for chain in chains
+            ]
+
     def test_family_is_deterministic_and_finite(self):
         fam1 = adversarial_permutations(3, 13)
         fam2 = adversarial_permutations(3, 13)
@@ -371,15 +406,19 @@ class TestTraceMSets:
 
 
 class TestOracle:
+    # The lexicographically least shortest supersequences; the search with
+    # and without the canonical pruning must both return them.
     def test_m_2(self):
-        length, word = shortest_supersequence_oracle(2)
-        assert length == 3
-        assert naive_supersequence_check(word, 2)
+        for canonical in (True, False):
+            found = shortest_supersequence_oracle(2, canonical=canonical)
+            assert found == (3, (1, 2, 1))
+        assert naive_supersequence_check(found[1], 2)
 
     def test_m_3(self):
-        length, word = shortest_supersequence_oracle(3)
-        assert length == 7
-        assert naive_supersequence_check(word, 3)
+        for canonical in (True, False):
+            found = shortest_supersequence_oracle(3, canonical=canonical)
+            assert found == (7, (1, 2, 1, 3, 1, 2, 1))
+        assert naive_supersequence_check(found[1], 3)
 
     def test_m_3_unpruned_cross_check(self):
         # guard the canonicalization against pruning bugs: exhaust all words
@@ -394,8 +433,38 @@ class TestOracle:
         with pytest.raises(ValueError, match="up to length"):
             shortest_supersequence_oracle(3, length_cap=6)
 
-    @pytest.mark.slow
     def test_m_4(self):
-        length, word = shortest_supersequence_oracle(4)
-        assert length == 12
-        assert naive_supersequence_check(word, 4)
+        for canonical in (True, False):
+            found = shortest_supersequence_oracle(4, canonical=canonical)
+            assert found == (12, (1, 2, 3, 4, 1, 2, 3, 1, 4, 2, 1, 3))
+        assert naive_supersequence_check(found[1], 4)
+
+    def test_prefix_state_agrees_with_naive(self):
+        # Drive the forward DP through every prefix of seeded random words:
+        # half uniform words, half concatenations of m permutations (always
+        # supersequences) with one letter replaced half of the time.
+        rng = random.Random(5)
+        passing = failing = 0
+        for trial in range(1200):
+            m = rng.randint(1, 4)
+            letters = range(1, m + 1)
+            if trial % 2:
+                word = [a for _ in range(m) for a in rng.sample(letters, m)]
+                if rng.random() < 0.5:
+                    word[rng.randrange(len(word))] = rng.randint(1, m)
+            else:
+                word = rng.choices(letters, k=rng.randint(0, m * m + 2))
+            step, goal = _prefix_dp(m)
+            state = 0
+            for p in range(len(word) + 1):
+                if p:
+                    state = step(state, word[p - 1])
+                    # a repeated letter leaves the state as it is
+                    assert step(state, word[p - 1]) == state
+                done = state & goal == goal
+                assert done == naive_supersequence_check(word[:p], m), word[:p]
+            if done:
+                passing += 1
+            else:
+                failing += 1
+        assert passing >= 300 and failing >= 300
