@@ -4,7 +4,6 @@ permutations over a finite alphabet."""
 from .core import (
     NextOccurrenceTable,
     SliceRangeError,
-    elements_after,
     is_subsequence,
     pslice,
 )

@@ -67,10 +67,15 @@ class GeneratedList:
 
     def seq(self, k: int) -> tuple[int, ...]:
         """sigma_k, 1-based."""
-        return self.sequences[k - 1]
+        return self.sequences[self._index(k)]
 
     def tag(self, k: int) -> str:
-        return self.case_tags[k - 1]
+        return self.case_tags[self._index(k)]
+
+    def _index(self, k: int) -> int:
+        if not 1 <= k <= self.n:
+            raise ValueError(f"k={k} outside 1..{self.n}")
+        return k - 1
 
     @property
     def total_elements(self) -> int:

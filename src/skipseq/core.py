@@ -17,7 +17,6 @@ __all__ = [
     "resolve_index",
     "pslice",
     "is_subsequence",
-    "elements_after",
     "NextOccurrenceTable",
 ]
 
@@ -57,19 +56,6 @@ def is_subsequence(candidate: Iterable[int], word: Seq[int]) -> bool:
     """Greedy left-to-right subsequence test (complete for this relation)."""
     it = iter(word)
     return all(c in it for c in candidate)
-
-
-def elements_after(seq: Seq[int], a: int) -> set[int]:
-    """Set of letters occurring strictly after the unique occurrence of a."""
-    try:
-        after = set(seq[seq.index(a) + 1 :])
-    except ValueError:  # a does not occur
-        after = None
-    if after is None or a in after:
-        raise ValueError(
-            f"letter {a} occurs {seq.count(a)} times, expected exactly once"
-        )
-    return after
 
 
 class NextOccurrenceTable:

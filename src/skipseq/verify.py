@@ -2,21 +2,23 @@
 
 Nothing in here trusts the generators: completeness and exhaustive
 supersequence checks share one subset DP over letter sets, which covers
-every distinct-letter sequence without enumerating them; the shortest-length
-oracle carries the same DP forward over word prefixes; sampled checks
-match seeded random permutations; and the quasi-palindrome bijection is
-reconstructed position by position from the concatenation.
+every distinct-letter sequence without enumerating them (completeness
+runs it once per direction for all prefix or suffix depths); the
+shortest-length oracle carries the same DP forward over word prefixes;
+sampled checks match seeded random permutations; and the quasi-palindrome
+bijection is reconstructed position by position from the concatenation.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence as Seq
 
 import numpy as np
 
-from .core import NextOccurrenceTable, elements_after
+from .core import NextOccurrenceTable
 from .construct import (
     GeneratedList,
     TAG_SKIP,
@@ -149,42 +151,69 @@ def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
     return Witness(tuple(witness), k)
 
 
+def _first_incomplete(
+    sequences: Seq[Seq[int]],
+    n: int,
+    k_max: Optional[int],
+    direction: str,
+) -> Optional[Witness]:
+    """The witness of the smallest depth k <= k_max whose k sequences
+    nearest the checked end ("forward": the first) are not k-complete.
+
+    One _suffix_dp with cutoff c = min(k_max, n), with the checked end
+    last, answers every depth: the sets U with |U| = c - k cover every
+    k-sequence, so depth k fails iff the largest such G[U] exceeds the
+    length of its k sequences.  is_k_complete then finds the witness of
+    the failing depth.  If k_max > n and depths 1..n pass, depth n + 1 is
+    rejected as is_k_complete would reject it.
+    """
+    count = len(sequences)
+    k_max = count if k_max is None else k_max
+    if not 0 <= k_max <= count:
+        raise ValueError(f"k_max={k_max} outside 0..{count}")
+    c = min(k_max, n)
+    forward = direction == "forward"
+    chosen = sequences[:c] if forward else sequences[count - c :]
+    word = tuple(a for seq in chosen for a in seq)
+    G = _suffix_dp(word[::-1] if forward else word, n, c)
+    most = [0] * (c + 1)
+    for U, g in enumerate(G):
+        k = c - U.bit_count()
+        if k > 0 and g > most[k]:
+            most[k] = g
+    nearest_first = chosen if forward else chosen[::-1]
+    ends = itertools.accumulate(len(seq) for seq in nearest_first)
+    for k, end in enumerate(ends, 1):
+        if most[k] > end:
+            part = word[:end] if forward else word[len(word) - end :]
+            w = is_k_complete(part, n, k)
+            return Witness(w.permutation, k, direction)
+    if k_max > n:
+        raise ValueError(f"k={n + 1} outside 1..{n}")
+    return None
+
+
 def forward_complete(
     sequences: Seq[Seq[int]], n: int, k_max: Optional[int] = None
 ) -> Optional[Witness]:
     """Check that each k-prefix concatenation is k-complete, k = 1..k_max."""
-    k_max = len(sequences) if k_max is None else k_max
-    word: list[int] = []
-    for k in range(1, k_max + 1):
-        word.extend(sequences[k - 1])
-        w = is_k_complete(word, n, k)
-        if w is not None:
-            return Witness(w.permutation, k, "forward")
-    return None
+    return _first_incomplete(sequences, n, k_max, "forward")
 
 
 def backward_complete(
     sequences: Seq[Seq[int]], n: int, k_max: Optional[int] = None
 ) -> Optional[Witness]:
     """Mirror of forward_complete over suffix concatenations."""
-    k_max = len(sequences) if k_max is None else k_max
-    word: list[int] = []
-    for k in range(1, k_max + 1):
-        word[:0] = sequences[len(sequences) - k]
-        w = is_k_complete(word, n, k)
-        if w is not None:
-            return Witness(w.permutation, k, "backward")
-    return None
+    return _first_incomplete(sequences, n, k_max, "backward")
 
 
 def strongly_complete(
     sequences: Seq[Seq[int]], n: int, k_max: Optional[int] = None
 ) -> Optional[Witness]:
     """Both directions; the returned witness records which one failed."""
-    w = forward_complete(sequences, n, k_max)
-    if w is not None:
-        return w
-    return backward_complete(sequences, n, k_max)
+    return forward_complete(sequences, n, k_max) or backward_complete(
+        sequences, n, k_max
+    )
 
 
 def quasi_palindrome(sequences: Seq[Seq[int]]) -> BijectionReport:
@@ -315,26 +344,27 @@ def trace_m_sets(
         raise ValueError("rho must have distinct letters from 1..n")
     if rho[k - 1] not in skip_letters(s, n):
         raise ValueError(f"rho[{k}]={rho[k - 1]} is not a skip letter")
+    after = _letters_after(glist)
     steps: list[tuple[int, frozenset[int]]] = []
-    removed: set[int] = set()
+    removed = 0
     idx = k - 1
     terminated = idx
     max_size = 0
     while idx >= 1:
-        seq = glist.seq(idx)
         prev_elem = rho[idx]  # rho[idx+1] in 1-based terms
-        if prev_elem not in seq:
-            terminated = idx
+        tail = after(idx, prev_elem)
+        terminated = idx
+        if tail is None:
             break
-        m_set = frozenset(elements_after(seq, prev_elem) - removed)
+        mask = tail & ~removed
+        m_set = frozenset(a for a in range(1, n + 1) if mask >> a & 1)
         steps.append((idx, m_set))
         max_size = max(max_size, len(m_set))
-        terminated = idx
         if not m_set or idx == 1:
             break
         if rho[idx - 1] not in m_set:
             break  # two consecutive rho elements land in sigma_idx
-        removed.add(prev_elem)
+        removed |= 1 << prev_elem
         idx -= 1
     return MSetTrace(tuple(steps), terminated, max_size)
 

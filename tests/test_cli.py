@@ -215,6 +215,15 @@ class TestOracleAndTrace:
         )
         assert code == 2
 
+    def test_trace_k_out_of_range_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--s", "3", "--n", "18", "--k", "99",
+            "--rho", "1,2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "k=99 outside 1..18" in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -65,6 +65,16 @@ class TestValidLevels:
             assert valid_levels(n) == expected, n
 
 
+class TestGeneratedList:
+    @pytest.mark.parametrize("k", [-6, -1, 0, 19])
+    def test_index_outside_list_rejected(self, k):
+        glist = gen_ts(3, 18)
+        with pytest.raises(ValueError, match=f"k={k} outside 1..18"):
+            glist.seq(k)
+        with pytest.raises(ValueError, match=f"k={k} outside 1..18"):
+            glist.tag(k)
+
+
 class TestGolden:
     def test_t1_6(self):
         assert list(gen_t1(6).sequences) == golden.T1_6

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from skipseq.core import (
     NextOccurrenceTable,
     SliceRangeError,
-    elements_after,
     is_subsequence,
     pslice,
 )
@@ -76,24 +75,6 @@ class TestIsSubsequence:
         assert is_subsequence(mid, w)
         assert is_subsequence(small, mid)
         assert is_subsequence(small, w)
-
-
-class TestElementsAfter:
-    def test_generated_sequence_example(self):
-        sigma_11 = (10, 11, 12, 13, 14, 15, 16, 1, 2, 3, 4, 5, 6, 7, 17, 18, 8)
-        assert elements_after(sigma_11, 17) == {18, 8}
-
-    def test_last_element(self):
-        assert elements_after((5, 1, 9), 9) == set()
-
-    def test_first_element(self):
-        assert elements_after((5, 1, 9), 5) == {1, 9}
-
-    def test_absent_or_duplicated(self):
-        with pytest.raises(ValueError, match="occurs 0 times"):
-            elements_after((1, 2), 3)
-        with pytest.raises(ValueError, match="occurs 2 times"):
-            elements_after((1, 2, 1), 1)
 
 
 class TestNextOccurrenceTable:

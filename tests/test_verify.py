@@ -26,6 +26,7 @@ from skipseq import (
     verify_supersequence_exhaustive,
     verify_supersequence_sampled,
 )
+from skipseq import verify
 from skipseq.verify import (
     EXHAUSTIVE_LIMIT,
     _prefix_dp,
@@ -118,6 +119,8 @@ class TestCompleteness:
         def naive(sequences, n, k_max, direction):
             word = ()
             for k in range(1, k_max + 1):
+                if k > n:
+                    return "ValueError"
                 if direction == "forward":
                     word += tuple(sequences[k - 1])
                 else:
@@ -127,29 +130,88 @@ class TestCompleteness:
                     return missing, k, direction
             return None
 
-        def as_tuple(w):
+        def outcome(check, *args):
+            try:
+                w = check(*args)
+            except ValueError:
+                return "ValueError"
             if w is None:
                 return None
             return w.permutation, w.failed_k, w.direction
 
+        def kind(result):
+            if result is None:
+                return "pass"
+            return "ValueError" if result == "ValueError" else "fail"
+
         rng = random.Random(11)
         outcomes = set()
-        for _ in range(150):
-            n = rng.randint(1, 5)
-            sequences = [
-                tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
-                for _ in range(rng.randint(1, n + 2))
-            ]
-            k_max = rng.randint(1, min(n, len(sequences)))
-            fwd = naive(sequences, n, k_max, "forward")
-            bwd = naive(sequences, n, k_max, "backward")
-            assert as_tuple(forward_complete(sequences, n, k_max)) == fwd
-            assert as_tuple(backward_complete(sequences, n, k_max)) == bwd
-            assert as_tuple(strongly_complete(sequences, n, k_max)) == (
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            letters = range(1, n + 1)
+            if rng.random() < 0.5:
+                sequences = [
+                    tuple(rng.sample(letters, rng.randint(1, n)))
+                    for _ in range(rng.randint(1, n + 2))
+                ]
+            else:  # repeated letters within a sequence
+                sequences = [
+                    tuple(rng.choices(letters, k=rng.randint(0, 2 * n)))
+                    for _ in range(rng.randint(1, n + 2))
+                ]
+            if rng.random() < 0.3:
+                k_max, depth = None, len(sequences)  # may exceed n
+            else:
+                k_max = depth = rng.randint(1, min(n, len(sequences)))
+            fwd = naive(sequences, n, depth, "forward")
+            bwd = naive(sequences, n, depth, "backward")
+            assert outcome(forward_complete, sequences, n, k_max) == fwd
+            assert outcome(backward_complete, sequences, n, k_max) == bwd
+            assert outcome(strongly_complete, sequences, n, k_max) == (
                 fwd or bwd
             )
-            outcomes.add((fwd is None, bwd is None))
-        assert len(outcomes) == 4  # pass/fail in each direction occurs
+            outcomes.add((kind(fwd), kind(bwd)))
+        # pass/fail in each direction occurs, and so do depths beyond n
+        assert set(itertools.product(["pass", "fail"], repeat=2)) <= outcomes
+        assert ("ValueError", "ValueError") in outcomes
+
+    def test_k_max_range(self):
+        sequences = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)]
+        for check in (forward_complete, backward_complete, strongly_complete):
+            for k_max in (3, 4, -1):
+                with pytest.raises(ValueError, match="k_max"):
+                    check(sequences, 5, k_max)
+            assert check(sequences, 5, 0) is None
+            # depths 1..n pass, then depth n + 1 does not exist
+            with pytest.raises(ValueError, match="k=6 outside 1..5"):
+                check([(1, 2, 3, 4, 5)] * 6, 5)
+
+    def test_one_dp_per_direction(self, monkeypatch):
+        calls = []
+        dp = verify._suffix_dp
+
+        def counted(word, n, k):
+            calls.append(k)
+            return dp(word, n, k)
+
+        monkeypatch.setattr(verify, "_suffix_dp", counted)
+        sequences = gen_t2(12).sequences
+        assert strongly_complete(sequences, 12) is None
+        assert calls == [12, 12]
+        damaged = list(sequences)
+        damaged[5] = damaged[5][1:]
+        calls.clear()
+        w = forward_complete(damaged, 12)
+        assert w is not None and w.direction == "forward"
+        assert calls == [12, w.failed_k]  # the pass, then the witness
+        calls.clear()
+        w = backward_complete(damaged, 12)
+        assert w is not None and w.direction == "backward"
+        assert calls == [12, w.failed_k]
+
+    def test_t3_18_strongly_complete(self):
+        # the paper's level-3 list over 18 letters, both directions
+        assert strongly_complete(gen_ts(3, 18).sequences, 18) is None
 
     def test_monotone_in_k(self):
         # a pass at depth k implies no re-failure at any smaller depth
@@ -399,6 +461,10 @@ class TestTraceMSets:
 
     def test_precondition_checks(self):
         glist = gen_ts(3, 18)
+        with pytest.raises(ValueError, match="k=-6 outside 1..18"):
+            skip_chain_rho(glist, -6, 17)
+        with pytest.raises(ValueError, match="k=19 outside 1..18"):
+            trace_m_sets(glist, tuple(range(1, 19)) + (17,), 19)
         with pytest.raises(ValueError, match="skip-sequence"):
             trace_m_sets(glist, tuple(range(1, 12)), 11)
         with pytest.raises(ValueError, match="skip letter"):
