@@ -79,6 +79,8 @@ def _cmd_verify(args) -> int:
         ).word
     else:
         raise ValidationError("supply --word, --word-file, or --s with --n")
+    if args.m is None and not word:
+        raise ValidationError("the word has no letters; supply --m")
     m = args.m if args.m is not None else max(word)
     if args.sampled:
         seed = args.seed if args.seed is not None else secrets.randbits(32)
@@ -92,15 +94,15 @@ def _cmd_verify(args) -> int:
         report = verify.verify_supersequence_exhaustive(
             word, m, allow_long=args.allow_long
         )
+    payload = _witness_payload(report)
     if args.format == "json":
-        print(json.dumps(_witness_payload(report), indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         print(f"verdict: {report.verdict} ({report.mode})")
         if report.seed is not None:
             print(f"seed: {report.seed}")
-        for key, value in report.stats.items():
-            if key != "elapsed_s":
-                print(f"{key}: {value}")
+        for key, value in payload["stats"].items():
+            print(f"{key}: {value}")
         if report.witness is not None:
             perm = ",".join(map(str, report.witness.permutation))
             print(f"witness: {perm}")

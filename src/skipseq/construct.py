@@ -290,6 +290,8 @@ def gen_ts(s: int, n: int) -> GeneratedList:
 
 def generate(s: int, n: int) -> GeneratedList:
     """Dispatch to the level-appropriate generator."""
+    if s < 1:
+        raise ValidationError(validate(s, n).reason)
     if s == 1:
         return gen_t1(n)
     if s == 2:

@@ -4,7 +4,8 @@ Nothing in here trusts the generators: completeness and exhaustive
 supersequence checks share one subset DP over letter sets, which covers
 every distinct-letter sequence without enumerating them (completeness
 runs it once per direction for all prefix or suffix depths); the
-shortest-length oracle carries the same DP forward over word prefixes;
+shortest-length oracle searches breadth-first over the states of the same
+DP carried forward one letter at a time;
 sampled checks match seeded random permutations; and the quasi-palindrome
 bijection is reconstructed position by position from the concatenation.
 """
@@ -461,27 +462,44 @@ def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
 
 
 def shortest_supersequence_oracle(
-    m: int, length_cap: Optional[int] = None, canonical: bool = True
+    m: int, length_cap: Optional[int] = None
 ) -> tuple[int, tuple[int, ...]]:
-    """Smallest length admitting a supersequence over {1..m}, found by
-    iterative deepening over candidate words.
+    """Smallest length admitting a supersequence over {1..m}, found by a
+    breadth-first search over the states of the forward subset DP.
 
-    Each length is a depth-first search over prefixes in lexicographic
-    order.  Every prefix carries the subset DP forward one letter at a
-    time, and a prefix whose DP state, last letter and letters left are
-    already proven to reach no supersequence is cut with its subtree; the
-    proofs are kept across lengths.  The word returned is the
-    lexicographically least supersequence of the smallest length.  With
-    canonical=True words start with letter 1 and contain no adjacent equal
-    letters; both prunings preserve at least one minimal supersequence.
-    Only desk-scale alphabets (m <= 4) are supported.
+    Level L of the search holds the states first reached by a word of
+    length L, each recorded with the lexicographically least such word:
+    a level is expanded in order, trying letters 1..m ascending, so the
+    next level is again sorted by those words.  The first complete state
+    found therefore ends the lexicographically least supersequence of the
+    smallest length.  A state is expanded only when first reached, so each
+    (state, letter) pair is stepped once.  Only desk-scale alphabets
+    (m <= 4) are supported.
     """
     if not 1 <= m <= 4:
         raise ValueError(f"oracle supports 1 <= m <= 4, got m={m}")
     cap = length_cap if length_cap is not None else m * m
-    found = _search_words(m, cap, canonical)
-    if found is not None:
-        return len(found), found
+    step, goal = _prefix_dp(m)
+    parent: dict[int, tuple[int, int]] = {0: (0, 0)}
+    frontier = [0]
+    for length in range(1, cap + 1):
+        level = []
+        for state in frontier:
+            for a in range(1, m + 1):
+                nxt = step(state, a)
+                if nxt in parent:
+                    continue
+                parent[nxt] = (state, a)
+                if nxt & goal == goal:
+                    # only the empty prefix has state 0: any letter c
+                    # sets the bit of the one-letter set {c}
+                    word = []
+                    while nxt:
+                        nxt, letter = parent[nxt]
+                        word.append(letter)
+                    return length, tuple(reversed(word))
+                level.append(nxt)
+        frontier = level
     raise ValueError(f"no supersequence over {m} letters up to length {cap}")
 
 
@@ -493,10 +511,9 @@ def _prefix_dp(m: int) -> tuple[Callable[[int, int], int], int]:
     a subsequence of the prefix read so far; S is complete when all of its
     bits are set.  Appending c sets bit (S, c) for every S containing c
     whose remainder S - c is empty or complete, and changes no other bit,
-    so a repeated letter leaves the state as it is.  Returns the memoised
-    step(state, c), starting from state 0 (the empty prefix), and the bits
-    of the full alphabet: a word is a supersequence iff its state has all
-    of them set.
+    so a repeated letter leaves the state as it is.  Returns step(state, c),
+    starting from state 0 (the empty prefix), and the bits of the full
+    alphabet: a word is a supersequence iff its state has all of them set.
     """
     full = (1 << m) - 1
     complete = [
@@ -511,54 +528,12 @@ def _prefix_dp(m: int) -> tuple[Callable[[int, int], int], int]:
         ]
         for c in range(1, m + 1)
     ]
-    after: list[dict[int, int]] = [{} for _ in rules]
 
     def step(state: int, c: int) -> int:
-        nxt = after[c].get(state)
-        if nxt is None:
-            nxt = state
-            for need, bit in rules[c]:
-                if state & need == need:
-                    nxt |= bit
-            after[c][state] = nxt
+        nxt = state
+        for need, bit in rules[c]:
+            if state & need == need:
+                nxt |= bit
         return nxt
 
     return step, complete[full]
-
-
-def _search_words(
-    m: int, cap: int, canonical: bool
-) -> Optional[tuple[int, ...]]:
-    """The lexicographically least supersequence of the smallest length
-    in m..cap, or None.
-
-    dead maps (last letter, letters left) to the states proven to reach
-    no supersequence from there; the last letter is kept only when
-    canonical=True, the one case where it restricts the next letter.
-    """
-    step, goal = _prefix_dp(m)
-    dead: dict[tuple[int, int], set[int]] = {}
-    word: list[int] = []
-
-    def rec(state: int, last: int, left: int) -> Optional[tuple[int, ...]]:
-        if not left:
-            return tuple(word) if state & goal == goal else None
-        proven = dead.setdefault((last, left), set())
-        if state in proven:
-            return None
-        for a in range(1, m + 1):
-            if a == last or canonical and not word and a != 1:
-                continue
-            word.append(a)
-            hit = rec(step(state, a), a if canonical else 0, left - 1)
-            if hit is not None:
-                return hit
-            word.pop()
-        proven.add(state)
-        return None
-
-    for L in range(m, cap + 1):
-        found = rec(0, 0, L)
-        if found is not None:
-            return found
-    return None

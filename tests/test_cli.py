@@ -40,6 +40,13 @@ class TestGenerate:
         assert code == 2
         assert "erratum" in err
 
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    def test_level_below_1_exit_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--s", "0", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert "level s=0 must be >= 1" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, _, _ = run(
@@ -108,6 +115,19 @@ class TestVerify:
         )
         assert code == 2
         assert "malformed" in err
+
+    def test_word_without_letters(self, capsys):
+        # with no letters and no --m the alphabet is unknown
+        code, out, err = run(capsys, "verify", "--word", ",,", "--exhaustive")
+        assert code == 2
+        assert out == ""
+        assert "no letters" in err and "--m" in err
+        # with --m the empty word is checked and fails with a witness
+        code, out, _ = run(
+            capsys, "verify", "--word", "", "--m", "2", "--exhaustive"
+        )
+        assert code == 1
+        assert "witness: 1,2" in out
 
     def test_missing_input_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--exhaustive")

@@ -75,6 +75,13 @@ class TestGeneratedList:
             glist.tag(k)
 
 
+class TestGenerate:
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_level_below_1_rejected_with_validate_reason(self, s):
+        with pytest.raises(ValidationError, match=f"level s={s} must be >= 1"):
+            generate(s, 5)
+
+
 class TestGolden:
     def test_t1_6(self):
         assert list(gen_t1(6).sequences) == golden.T1_6

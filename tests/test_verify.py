@@ -472,37 +472,57 @@ class TestTraceMSets:
 
 
 class TestOracle:
-    # The lexicographically least shortest supersequences; the search with
-    # and without the canonical pruning must both return them.
+    # The lexicographically least shortest supersequences.
     def test_m_2(self):
-        for canonical in (True, False):
-            found = shortest_supersequence_oracle(2, canonical=canonical)
-            assert found == (3, (1, 2, 1))
+        found = shortest_supersequence_oracle(2)
+        assert found == (3, (1, 2, 1))
         assert naive_supersequence_check(found[1], 2)
 
     def test_m_3(self):
-        for canonical in (True, False):
-            found = shortest_supersequence_oracle(3, canonical=canonical)
-            assert found == (7, (1, 2, 1, 3, 1, 2, 1))
+        found = shortest_supersequence_oracle(3)
+        assert found == (7, (1, 2, 1, 3, 1, 2, 1))
         assert naive_supersequence_check(found[1], 3)
 
     def test_m_3_unpruned_cross_check(self):
-        # guard the canonicalization against pruning bugs: exhaust all words
-        # over {1,2,3} up to length 6 and confirm none is a supersequence
+        # exhaust all words over {1,2,3} up to length 6 and confirm none is
+        # a supersequence
         for L in range(1, 7):
             for word in itertools.product((1, 2, 3), repeat=L):
                 assert not naive_supersequence_check(word, 3)
-        length, _ = shortest_supersequence_oracle(3, canonical=False)
+        length, _ = shortest_supersequence_oracle(3)
         assert length == 7
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lex_least_by_brute_force(self, m):
+        # itertools.product yields the words of each length in
+        # lexicographic order: no shorter word passes, and the first
+        # passing word of the oracle's length is the oracle's word
+        length, word = shortest_supersequence_oracle(m)
+        letters = range(1, m + 1)
+        for L in range(length):
+            for w in itertools.product(letters, repeat=L):
+                assert not naive_supersequence_check(w, m)
+        first = next(
+            w
+            for w in itertools.product(letters, repeat=length)
+            if naive_supersequence_check(w, m)
+        )
+        assert first == word
 
     def test_cap_exceeded(self):
         with pytest.raises(ValueError, match="up to length"):
             shortest_supersequence_oracle(3, length_cap=6)
 
+    @pytest.mark.parametrize("m,shortest", [(2, 3), (3, 7), (4, 12)])
+    def test_cap_boundary(self, m, shortest):
+        length, _ = shortest_supersequence_oracle(m, length_cap=shortest)
+        assert length == shortest
+        with pytest.raises(ValueError, match="up to length"):
+            shortest_supersequence_oracle(m, length_cap=shortest - 1)
+
     def test_m_4(self):
-        for canonical in (True, False):
-            found = shortest_supersequence_oracle(4, canonical=canonical)
-            assert found == (12, (1, 2, 3, 4, 1, 2, 3, 1, 4, 2, 1, 3))
+        found = shortest_supersequence_oracle(4)
+        assert found == (12, (1, 2, 3, 4, 1, 2, 3, 1, 4, 2, 1, 3))
         assert naive_supersequence_check(found[1], 4)
 
     def test_prefix_state_agrees_with_naive(self):
