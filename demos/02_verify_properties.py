@@ -29,7 +29,7 @@ print("Involution:", report.involution)
 word = build_supersequence(glist)
 result = verify_supersequence_exhaustive(word.word, word.m)
 print(f"All 10! permutations contained: {result.passed} "
-      f"(subset DP over 2**10 letter sets)")
+      f"(one bit-parallel pass over 2**10 letter sets)")
 
 # a deliberately broken word: drop the final letter
 broken = word.word[:-1]

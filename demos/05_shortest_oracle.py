@@ -1,10 +1,10 @@
 """Re-derive the known shortest supersequences for tiny alphabets.
 
-A breadth-first search over the states of the subset DP, carried forward
-one letter at a time, finds the minimal length exactly: level L holds the
-states first reached by a word of length L, so the first level with a
-complete state gives the minimum, and trying letters in ascending order
-makes its word the lexicographically least one.  The optima
+A breadth-first search over the states of the completeness pass, which
+reads a word one letter at a time, finds the minimal length exactly: level
+L holds the states first reached by a word of length L, so the first level
+with a complete state gives the minimum, and trying letters in ascending
+order makes its word the lexicographically least one.  The optima
 coincide with the interposed level-1 construction, which is why the small
 classical words were long believed unbeatable.
 """

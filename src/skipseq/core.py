@@ -66,11 +66,9 @@ class NextOccurrenceTable:
     exists too and maps every letter to ``absent``, which makes chained
     lookups sticky past a failure.
 
-    Two independent forms of the same table: Python list rows, built on
-    first use by ``next_after``, ``match`` and the subset DP (fast for the
-    many short words it checks), and the int32 array that ``as_array``
-    builds directly from the word for vectorized matching, without the
-    rows.
+    ``next_after`` and ``match`` answer single lookups by scanning the word;
+    ``as_array`` builds the whole table as an int32 array for vectorized
+    matching.
     """
 
     def __init__(self, word: Seq[int], m: int):
@@ -81,35 +79,21 @@ class NextOccurrenceTable:
         self.word = word
         self.m = m
         self.absent = len(word) + 1
-        self._row_lists = None
-
-    @property
-    def _rows(self) -> list[list[int]]:
-        rows = self._row_lists
-        if rows is None:
-            word, absent = self.word, self.absent
-            row = [absent] * (self.m + 1)
-            rows = [row, row.copy()]  # rows L+1 and L, built back to front
-            for p in range(len(word) - 1, -1, -1):
-                row = row.copy()
-                row[word[p]] = p + 1
-                rows.append(row)
-            rows.reverse()
-            self._row_lists = rows
-        return rows
 
     def next_after(self, pos: int, letter: int) -> int:
         """Smallest index > pos holding letter, or ``absent``."""
         if not 1 <= letter <= self.m:
             raise ValueError(f"letter {letter} outside alphabet 1..{self.m}")
-        return self._rows[pos][letter]
+        try:
+            return self.word.index(letter, pos) + 1
+        except ValueError:
+            return self.absent
 
     def match(self, candidate: Iterable[int]) -> int:
         """Greedy-match candidate; final matched position, or ``absent``."""
-        rows = self._rows
         pos = 0
         for a in candidate:
-            pos = rows[pos][a]
+            pos = self.next_after(pos, a)
             if pos == self.absent:
                 return self.absent
         return pos

@@ -1,18 +1,17 @@
 """Independent checks of every claimed combinatorial property.
 
 Nothing in here trusts the generators: completeness and exhaustive
-supersequence checks share one subset DP over letter sets, which covers
-every distinct-letter sequence without enumerating them (completeness
-runs it once per direction for all prefix or suffix depths); the
-shortest-length oracle searches breadth-first over the states of the same
-DP carried forward one letter at a time;
-sampled checks match seeded random permutations; and the quasi-palindrome
-bijection is reconstructed position by position from the concatenation.
+supersequence checks share one pass over the word that keeps, as Python
+ints with a bit per letter set, the sets all of whose orderings are
+subsequences of the prefix read (completeness runs it once per direction
+for all prefix or suffix depths); the shortest-length oracle searches
+breadth-first over the states of the same pass; sampled checks match
+seeded random permutations; and the quasi-palindrome bijection is
+reconstructed position by position from the concatenation.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence as Seq
@@ -46,8 +45,8 @@ __all__ = [
     "shortest_supersequence_oracle",
 ]
 
-# Beyond this alphabet size the exhaustive subset DP (2**m letter sets)
-# exceeds desk scale; callers must opt in explicitly with allow_long=True.
+# Beyond this alphabet size the exhaustive pass (bitsets over 2**m letter
+# sets) exceeds desk scale; callers must opt in with allow_long=True.
 EXHAUSTIVE_LIMIT = 14
 
 _SAMPLE_BATCH = 100_000
@@ -90,64 +89,116 @@ class MSetTrace:
     max_size: int
 
 
-def _suffix_dp(word: tuple[int, ...], n: int, k: int) -> list[int]:
-    """Subset DP over the letter sets U of {1..n}, bit a-1 standing for a.
+def _universe(u: int, top: int) -> tuple[list[int], list[int], list[int]]:
+    """Bitsets over the sets of u letters 0..u-1 (bit S: the set of the
+    bits of S): without[c], the sets that lack c; atmost[s], s <= top, the
+    sets of at most s letters; and the pass before any letter is read, a
+    product tree: leaf u + c holds B_c, the sets S that lack c or whose
+    S - c was in C at the last c, node i < u the AND of nodes 2i and
+    2i + 1, so node 1 holds C, the sets all of whose orderings are
+    subsequences of the word read.  The bitsets of the first letters are
+    the low bits of _BASE's; each further letter doubles the width."""
+    base_without, base_atmost, _ = _BASE
+    b = min(u, len(base_without))
+    low = (1 << (1 << b)) - 1
+    without = [x & low for x in base_without[:b]]
+    atmost = [x & low for x in base_atmost[: top + 1]]
+    atmost += [low] * (top + 1 - len(atmost))
+    width = 1 << b
+    for _ in range(b, u):
+        without = [x | x << width for x in without]
+        without.append((1 << width) - 1)
+        atmost = [x | y << width for x, y in zip(atmost, [0] + atmost)]
+        width <<= 1
+    tree = [0] * u + without
+    for i in range(u - 1, 0, -1):
+        tree[i] = tree[2 * i] & tree[2 * i + 1]
+    return without, atmost, tree
 
-    G[U] is the most letters, counted from the end of word, that the
-    backward greedy match of any distinct-letter sequence of length k - |U|
-    over the letters outside U consumes: G[U] = max over a not in U of
-    next(G[U + a], a) in the reversed word, and G[U] = 0 once |U| >= k.
-    Greedy positions are monotone, so every such sequence is contained in
-    the suffix after position p iff p + G[U] <= len(word); in particular
-    word is k-complete iff G[0] <= len(word).  A sequence that runs off
-    the word yields len(word) + 1, which the table's sentinel row keeps
-    sticky.
-    """
-    rows = NextOccurrenceTable(word[::-1], n)._rows
-    full = (1 << n) - 1
-    G = [0] * (full + 1)
-    for U in range(full, -1, -1):
-        if U.bit_count() >= k:
-            continue
-        best = 0
-        free = full ^ U
-        while free:
-            bit = free & -free
-            p = rows[G[U | bit]][bit.bit_length()]
-            if p > best:
-                best = p
-            free ^= bit
-        G[U] = best
-    return G
+
+# built once from the empty base; checks over few letters cut from it
+_BASE: tuple[list[int], list[int], list[int]] = ([], [], [])
+_BASE = _universe(8, 8)
+
+
+def _read(tree: list[int], without: list[int], labels, history=None) -> int:
+    """Advance the tree in place over labels (None: a letter outside the
+    universe), appending C to history after each letter if it is a list;
+    return C.  Exact, as S is in C iff every a in S has S - a in C as it
+    was at the last a: reading c sets B_c to the sets without c and T + c
+    for each T in C, and changes only the nodes above leaf c."""
+    u = len(without)
+    for c in labels:
+        if c is not None:
+            lack = without[c]
+            i = u + c
+            tree[i] = lack | (tree[1] & lack) << (1 << c)
+            i >>= 1
+            while i:
+                tree[i] = tree[2 * i] & tree[2 * i + 1]
+                i >>= 1
+        if history is not None:
+            history.append(tree[1])
+    return tree[1]
 
 
 def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
     """None if every distinct-letter k-sequence over {1..n} is a subsequence
-    of word, else the lexicographically least failing one."""
+    of word, else the lexicographically least failing one.
+
+    A pass over the reversed word gives C_q, the sets all of whose
+    orderings fit in the last q letters: word is k-complete iff every
+    k-set is in C_L.  The witness is built forward: with pos the greedy
+    match of the letters used and r letters left, take the least unused a
+    whose next position p after pos is past the end or leaves a set of
+    r - 1 letters, unused and not a, outside C_{L-p} (as C holds the
+    subsets of its sets, one of at most r - 1 letters).  A step's C_q come
+    from a pass over the unused letters (the first step's from the
+    verdict's pass) until keeping every C_q fits in the bytes the first
+    pass held; that pass then answers the remaining steps.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    word = tuple(word)
-    G = _suffix_dp(word, n, k)
-    L = len(word)
-    if G[0] <= L:
-        return None
-    # Walk forward: the smallest unused letter after which some sequence
-    # still fails, i.e. whose next position p leaves p + G[U + a] > L.
+    table = NextOccurrenceTable(word, n)
+    L = len(table.word)
+    rev = table.word[::-1]
+    # bytes the first pass holds (a bitset: digits, int header, list slot):
+    # 2n tree nodes, n masks, k + 1 layers, n + 1 snapshots, 2 word copies
+    budget = (4 * n + k + 2) * ((1 << n) // 8 + 32) + 16 * L
+    free = list(range(1, n + 1))
     witness: list[int] = []
-    U = pos = 0
-    for _ in range(k):
-        for a in range(1, n + 1):
-            bit = 1 << (a - 1)
-            if U & bit:
-                continue
-            try:
-                p = word.index(a, pos) + 1
-            except ValueError:
-                p = L + 1
-            if p + G[U | bit] > L:
+    pos, history = 0, False
+    for r in range(k, 0, -1):
+        if not history:
+            without = atmost = snaps = tree = None  # free the last pass
+            u = len(free)
+            labels = {a: i for i, a in enumerate(free)}
+            without, atmost, tree = _universe(u, r if k < n else -1)
+            rest = (1 << (1 << u)) - 1  # the sets of the unused letters
+            atmost = atmost or [rest] * (r + 1)  # k = n: all subsets of a set
+            cs = list(map(labels.get, rev))
+            history = (L + 1) * ((1 << u) // 8 + 32) <= budget
+            if history:
+                snaps = [tree[1]]
+                _read(tree, without, cs, snaps)
+            else:
+                want = {L} if r == k else set()
+                if r > 1:
+                    want.update(L - table.next_after(pos, a) for a in free)
+                snaps, done = {}, 0
+                for q in sorted(want - {-1}):  # -1: a is not after pos
+                    snaps[q] = _read(tree, without, cs[done:q])
+                    done = q
+        if r == k and not atmost[k] & ~snaps[L]:
+            return None
+        for a in free:
+            p = table.next_after(pos, a)
+            lack = without[labels[a]]
+            if p > L or r > 1 and atmost[r - 1] & rest & lack & ~snaps[L - p]:
                 break
         witness.append(a)
-        U |= bit
+        free.remove(a)
+        rest &= lack
         pos = p
     return Witness(tuple(witness), k)
 
@@ -161,11 +212,10 @@ def _first_incomplete(
     """The witness of the smallest depth k <= k_max whose k sequences
     nearest the checked end ("forward": the first) are not k-complete.
 
-    One _suffix_dp with cutoff c = min(k_max, n), with the checked end
-    last, answers every depth: the sets U with |U| = c - k cover every
-    k-sequence, so depth k fails iff the largest such G[U] exceeds the
-    length of its k sequences.  is_k_complete then finds the witness of
-    the failing depth.  If k_max > n and depths 1..n pass, depth n + 1 is
+    One pass over the c = min(k_max, n) nearest sequences, read from the
+    checked end (backward: reversed), answers every depth: depth k fails
+    iff some k-set is not in C after the k-th sequence, and is_k_complete
+    finds its witness.  If k_max > n and depths 1..n pass, depth n + 1 is
     rejected as is_k_complete would reject it.
     """
     count = len(sequences)
@@ -174,21 +224,17 @@ def _first_incomplete(
         raise ValueError(f"k_max={k_max} outside 0..{count}")
     c = min(k_max, n)
     forward = direction == "forward"
-    chosen = sequences[:c] if forward else sequences[count - c :]
-    word = tuple(a for seq in chosen for a in seq)
-    G = _suffix_dp(word[::-1] if forward else word, n, c)
-    most = [0] * (c + 1)
-    for U, g in enumerate(G):
-        k = c - U.bit_count()
-        if k > 0 and g > most[k]:
-            most[k] = g
-    nearest_first = chosen if forward else chosen[::-1]
-    ends = itertools.accumulate(len(seq) for seq in nearest_first)
-    for k, end in enumerate(ends, 1):
-        if most[k] > end:
-            part = word[:end] if forward else word[len(word) - end :]
-            w = is_k_complete(part, n, k)
-            return Witness(w.permutation, k, direction)
+    chosen = sequences[:c] if forward else sequences[count - c :][::-1]
+    nearest = [seq if forward else seq[::-1] for seq in chosen]
+    word = NextOccurrenceTable((a for seq in nearest for a in seq), n).word
+    without, atmost, tree = _universe(n, c)
+    end = 0
+    for k, seq in enumerate(nearest, 1):
+        C = _read(tree, without, [a - 1 for a in seq])
+        end += len(seq)
+        if atmost[k] & ~C:
+            part = word[:end] if forward else word[:end][::-1]
+            return Witness(is_k_complete(part, n, k).permutation, k, direction)
     if k_max > n:
         raise ValueError(f"k={n + 1} outside 1..{n}")
     return None
@@ -240,6 +286,8 @@ def verify_supersequence_exhaustive(
     word: Seq[int], m: int, allow_long: bool = False
 ) -> VerificationReport:
     """Check that every permutation of {1..m} is a subsequence of word."""
+    if m < 1:
+        raise ValueError(f"alphabet size m={m} must be at least 1")
     if m > EXHAUSTIVE_LIMIT and not allow_long:
         raise ValueError(
             f"m={m} exceeds the exhaustive ceiling {EXHAUSTIVE_LIMIT}; "
@@ -284,6 +332,8 @@ def verify_supersequence_sampled(
     Every `extra` member must have length m and letters in 1..m.
     Bit-identical for identical (word, m, count, seed, extra).
     """
+    if m < 1:
+        raise ValueError(f"alphabet size m={m} must be at least 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     extra = list(extra)
@@ -465,7 +515,7 @@ def shortest_supersequence_oracle(
     m: int, length_cap: Optional[int] = None
 ) -> tuple[int, tuple[int, ...]]:
     """Smallest length admitting a supersequence over {1..m}, found by a
-    breadth-first search over the states of the forward subset DP.
+    breadth-first search over the states of the completeness pass.
 
     Level L of the search holds the states first reached by a word of
     length L, each recorded with the lexicographically least such word:
@@ -479,61 +529,27 @@ def shortest_supersequence_oracle(
     if not 1 <= m <= 4:
         raise ValueError(f"oracle supports 1 <= m <= 4, got m={m}")
     cap = length_cap if length_cap is not None else m * m
-    step, goal = _prefix_dp(m)
-    parent: dict[int, tuple[int, int]] = {0: (0, 0)}
-    frontier = [0]
+    without, _, tree = _universe(m, 0)
+    full = (1 << m) - 1  # the bit of the whole alphabet
+    start = tuple(tree)
+    parent: dict[tuple[int, ...], tuple] = {start: ()}
+    frontier = [start]
     for length in range(1, cap + 1):
         level = []
         for state in frontier:
             for a in range(1, m + 1):
-                nxt = step(state, a)
+                tree = list(state)
+                done = _read(tree, without, (a - 1,)) >> full & 1
+                nxt = tuple(tree)
                 if nxt in parent:
                     continue
                 parent[nxt] = (state, a)
-                if nxt & goal == goal:
-                    # only the empty prefix has state 0: any letter c
-                    # sets the bit of the one-letter set {c}
+                if done:
                     word = []
-                    while nxt:
+                    while nxt != start:
                         nxt, letter = parent[nxt]
                         word.append(letter)
                     return length, tuple(reversed(word))
                 level.append(nxt)
         frontier = level
     raise ValueError(f"no supersequence over {m} letters up to length {cap}")
-
-
-def _prefix_dp(m: int) -> tuple[Callable[[int, int], int], int]:
-    """The subset DP carried forward over a word read one letter at a time.
-
-    The state is an int with one bit per pair (S, a), S a set of letters
-    from {1..m} and a in S, set iff every ordering of S that ends in a is
-    a subsequence of the prefix read so far; S is complete when all of its
-    bits are set.  Appending c sets bit (S, c) for every S containing c
-    whose remainder S - c is empty or complete, and changes no other bit,
-    so a repeated letter leaves the state as it is.  Returns step(state, c),
-    starting from state 0 (the empty prefix), and the bits of the full
-    alphabet: a word is a supersequence iff its state has all of them set.
-    """
-    full = (1 << m) - 1
-    complete = [
-        sum(1 << (S * m + a) for a in range(m) if S >> a & 1)
-        for S in range(full + 1)
-    ]
-    rules = [[]] + [
-        [
-            (complete[S ^ (1 << (c - 1))], 1 << (S * m + c - 1))
-            for S in range(full + 1)
-            if S >> (c - 1) & 1
-        ]
-        for c in range(1, m + 1)
-    ]
-
-    def step(state: int, c: int) -> int:
-        nxt = state
-        for need, bit in rules[c]:
-            if state & need == need:
-                nxt |= bit
-        return nxt
-
-    return step, complete[full]

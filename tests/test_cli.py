@@ -133,6 +133,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--exhaustive")
         assert code == 2
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    @pytest.mark.parametrize("mode", ["--exhaustive", "--sampled"])
+    def test_alphabet_size_below_1_exit_2(self, capsys, mode, m):
+        code, out, err = run(
+            capsys, "verify", "--word", "1,2,1", "--m", m, mode, "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"alphabet size m={m} must be at least 1" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
             capsys, "generate", "--s", "2", "--n", "9", "--format", "json"

@@ -114,8 +114,9 @@ class TestNextOccurrenceTable:
             assert (t.match(cand) != t.absent) == is_subsequence(cand, word)
 
     def test_as_array_matches_rows(self):
-        # the array and the list rows are built independently; they must
-        # agree in every cell, including the sentinel row and column 0
+        # the array and next_after's scan of the word are independent;
+        # they must agree in every cell, including the sentinel row and
+        # column 0
         rng = random.Random(13)
         words = [((), 3)]
         for _ in range(60):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,12 +30,19 @@ from skipseq import (
 from skipseq import verify
 from skipseq.verify import (
     EXHAUSTIVE_LIMIT,
-    _prefix_dp,
     adversarial_permutations,
     skip_chain_rho,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the witness of the 573-letter word over 25 letters with its letter at
+# 0-based position 286 deleted, as the subset DP over letter sets that the
+# bit-parallel pass replaced found it (in 78 s)
+M25_DELETION_WITNESS = (
+    2, 1, 21, 20, 19, 18, 17, 24, 23, 22, 16, 15, 25, 5, 4, 3, 14, 13, 12,
+    11, 10, 9, 8, 7, 6,
+)
 
 
 def naive_least_missing(word, n, k):
@@ -89,6 +97,41 @@ class TestIsKComplete:
                 assert w.permutation == expected
                 assert w.failed_k == k
         assert passed  # the passing branch is exercised too
+
+
+    def test_pass_and_walk_agree_with_naive(self, monkeypatch):
+        # every k for random n <= 7; long words make the witness walk
+        # start with passes that keep only the positions a step needs, and
+        # a tail without one letter makes it meet letters that no longer
+        # occur after its position
+        kept_all = []
+        read = verify._read
+
+        def recorded(tree, without, labels, history=None):
+            kept_all.append(history is not None)
+            return read(tree, without, labels, history)
+
+        monkeypatch.setattr(verify, "_read", recorded)
+        rng = random.Random(23)
+        # after 1 at position 3 the walk finds 3 only behind it
+        cases = [((2, 3, 1) + (1, 2) * 30, 3)]
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            letters = range(1, n + 1)
+            head = rng.choices(letters, k=rng.randint(0, 3 * n))
+            tail = rng.choices(letters, k=rng.randint(0, 8 * n))
+            gone = rng.choice(letters)
+            cases.append((tuple(head + [a for a in tail if a != gone]), n))
+        verdicts = set()
+        for word, n in cases:
+            for k in range(1, n + 1):
+                w = is_k_complete(word, n, k)
+                expected = naive_least_missing(word, n, k)
+                assert (w and w.permutation) == expected, (word, n, k)
+                assert w is None or w.failed_k == k
+                verdicts.add(w is None)
+        assert verdicts == {True, False}
+        assert set(kept_all) == {True, False}
 
 
 class TestCompleteness:
@@ -187,27 +230,40 @@ class TestCompleteness:
                 check([(1, 2, 3, 4, 5)] * 6, 5)
 
     def test_one_dp_per_direction(self, monkeypatch):
+        # Every pass sets up its bitsets with one _universe call, recorded
+        # as (letters, depth). A pass over all 12 letters is the
+        # completeness pass or the witness's first pass; the witness walk's
+        # later passes cover only the letters it has not used.
         calls = []
-        dp = verify._suffix_dp
+        universe = verify._universe
 
-        def counted(word, n, k):
-            calls.append(k)
-            return dp(word, n, k)
+        def counted(u, top):
+            calls.append((u, top))
+            return universe(u, top)
 
-        monkeypatch.setattr(verify, "_suffix_dp", counted)
+        monkeypatch.setattr(verify, "_universe", counted)
         sequences = gen_t2(12).sequences
         assert strongly_complete(sequences, 12) is None
-        assert calls == [12, 12]
+        assert calls == [(12, 12), (12, 12)]
         damaged = list(sequences)
         damaged[5] = damaged[5][1:]
-        calls.clear()
-        w = forward_complete(damaged, 12)
-        assert w is not None and w.direction == "forward"
-        assert calls == [12, w.failed_k]  # the pass, then the witness
-        calls.clear()
-        w = backward_complete(damaged, 12)
-        assert w is not None and w.direction == "backward"
-        assert calls == [12, w.failed_k]
+        for check, direction in (
+            (forward_complete, "forward"),
+            (backward_complete, "backward"),
+        ):
+            calls.clear()
+            w = check(damaged, 12)
+            assert w is not None and w.direction == direction
+            # the pass, then the witness
+            assert [k for u, k in calls if u == 12] == [12, w.failed_k]
+            assert calls[:2] == [(12, 12), (12, w.failed_k)]
+
+    @pytest.mark.slow
+    def test_t4_24_strongly_complete(self):
+        # the level-4 list behind the 573-letter word over 25 letters
+        start = time.perf_counter()
+        assert strongly_complete(gen_ts(4, 24).sequences, 24) is None
+        assert time.perf_counter() - start < 15.0
 
     def test_t3_18_strongly_complete(self):
         # the paper's level-3 list over 18 letters, both directions
@@ -257,6 +313,70 @@ class TestExhaustive:
         word = tuple(range(1, EXHAUSTIVE_LIMIT + 2))
         with pytest.raises(ValueError, match="ceiling"):
             verify_supersequence_exhaustive(word, EXHAUSTIVE_LIMIT + 1)
+
+    @pytest.mark.parametrize(
+        "s, n, p, witness",
+        [
+            (3, 13, 65, (1, 13, 12, 11, 10, 9, 8, 7, 6, 5, 14, 4, 3, 2)),
+            (3, 13, 5, (5, 1, 10, 9, 8, 13, 12, 7, 6, 14, 4, 3, 2, 11)),
+            (3, 13, 150, (1, 14, 5, 3, 2, 12, 7, 6, 10, 9, 13, 4, 11, 8)),
+            (3, 18, 100,
+             (1, 19, 3, 2, 18, 17, 7, 4, 16, 15, 14, 13, 12, 11, 10, 9, 8,
+              6, 5)),
+            (3, 18, 250,
+             (1, 4, 3, 2, 19, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 17,
+              18)),
+        ],
+    )
+    def test_deletion_witness_pinned(self, s, n, p, witness):
+        # the built word with position p (0-based) deleted; the witnesses
+        # were recorded from the subset DP over letter sets that the
+        # bit-parallel pass replaced
+        word = build_supersequence(gen_ts(s, n)).word
+        word = word[:p] + word[p + 1 :]
+        report = verify_supersequence_exhaustive(word, n + 1, allow_long=True)
+        assert report.witness == verify.Witness(witness, n + 1)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_alphabet_size_below_1_rejected(self, m):
+        message = f"alphabet size m={m} must be at least 1"
+        with pytest.raises(ValueError, match=message):
+            verify_supersequence_exhaustive((1, 2, 1), m)
+        with pytest.raises(ValueError, match=message):
+            verify_supersequence_sampled((1, 2, 1), m, 10, seed=1)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    @pytest.mark.parametrize("deleted", [None, 286], ids=["readme", "deletion"])
+    def test_m25_peak_rss(self, deleted):
+        # The README quick start (the 573-letter word over 25 letters
+        # passes) and the same word with its middle letter deleted (the
+        # witness walk runs too), each in a child reporting its VmHWM.
+        code = (
+            "import sys\n"
+            "from skipseq import *\n"
+            "word = build_supersequence(gen_ts(4, 24)).word\n"
+            f"p = {deleted}\n"
+            "if p is not None:\n"
+            "    word = word[:p] + word[p + 1:]\n"
+            "r = verify_supersequence_exhaustive(word, 25, allow_long=True)\n"
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(r.witness.permutation if r.witness else None)\n"
+            "print(hwm[0].split()[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        witness, peak_kib = result.stdout.split("\n")[-3:-1]
+        if deleted is None:
+            assert witness == "None"
+        else:
+            assert witness == str(M25_DELETION_WITNESS)
+        assert int(peak_kib) < 1024 * 1024
 
     def test_agrees_with_naive_on_random_words(self):
         rng = random.Random(5)
@@ -526,7 +646,7 @@ class TestOracle:
         assert naive_supersequence_check(found[1], 4)
 
     def test_prefix_state_agrees_with_naive(self):
-        # Drive the forward DP through every prefix of seeded random words:
+        # Drive the pass through every prefix of seeded random words:
         # half uniform words, half concatenations of m permutations (always
         # supersequences) with one letter replaced half of the time.
         rng = random.Random(5)
@@ -540,14 +660,15 @@ class TestOracle:
                     word[rng.randrange(len(word))] = rng.randint(1, m)
             else:
                 word = rng.choices(letters, k=rng.randint(0, m * m + 2))
-            step, goal = _prefix_dp(m)
-            state = 0
+            without, _, tree = verify._universe(m, 0)
             for p in range(len(word) + 1):
                 if p:
-                    state = step(state, word[p - 1])
+                    verify._read(tree, without, (word[p - 1] - 1,))
                     # a repeated letter leaves the state as it is
-                    assert step(state, word[p - 1]) == state
-                done = state & goal == goal
+                    state = list(tree)
+                    verify._read(tree, without, (word[p - 1] - 1,))
+                    assert tree == state
+                done = tree[1] >> (1 << m) - 1 & 1 == 1
                 assert done == naive_supersequence_check(word[:p], m), word[:p]
             if done:
                 passing += 1
