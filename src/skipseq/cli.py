@@ -91,9 +91,7 @@ def _cmd_verify(args) -> int:
             word, m, args.count, seed, extra
         )
     else:
-        report = verify.verify_supersequence_exhaustive(
-            word, m, allow_long=args.allow_long
-        )
+        report = verify.verify_supersequence_exhaustive(word, m)
     payload = _witness_payload(report)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -143,10 +141,7 @@ def _cmd_analyze(args) -> int:
         header = " ".join(f"{name:>12}" for name in analyze.CSV_FIELDS)
         lines = [header]
         for row in rows:
-            record = [
-                row.m, row.classical, row.zalinescu, row.radomirovic,
-                row.best_s, row.best_len, row.actual,
-            ]
+            record = [getattr(row, name) for name in analyze.CSV_FIELDS]
             lines.append(
                 " ".join(f"{'-' if v is None else v:>12}" for v in record)
             )
@@ -155,7 +150,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    length, word = verify.shortest_supersequence_oracle(args.m, args.cap)
+    length, word = verify.shortest_supersequence_oracle(args.m)
     print(f"shortest length over {args.m} letters: {length}")
     print("example: " + ",".join(map(str, word)))
     return PASS
@@ -199,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sampled", action="store_true")
     p.add_argument("--count", type=int, default=100_000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--allow-long", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_verify)
 
@@ -215,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force shortest supersequence")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("trace", help="replay the M-set recursion")

@@ -81,9 +81,6 @@ class GeneratedList:
     def total_elements(self) -> int:
         return sum(len(seq) for seq in self.sequences)
 
-    def concatenation(self) -> tuple[int, ...]:
-        return tuple(a for seq in self.sequences for a in seq)
-
     def skip_indices(self) -> list[int]:
         """Indices k whose sequence drops the skip letters."""
         return [k for k in range(1, self.n + 1) if self.tag(k) == TAG_SKIP]
@@ -135,7 +132,10 @@ def validate(s: int, n: int) -> ValidationResult:
             f"at level {s}"
         )
     below = next((v for v in range(n - 1, 0, -1) if _is_valid(s, v)), None)
-    above = next(v for v in range(n + 1, n + 8 * s + 10) if _is_valid(s, v))
+    # valid values start at 4, 9 or 4s + 1 and then recur every 2s - 1, so
+    # the window holds one from any start, negative n included
+    lo = max(n, 0) + 1
+    above = next(v for v in range(lo, lo + 8 * s + 9) if _is_valid(s, v))
     return ValidationResult(False, reason, below, above)
 
 

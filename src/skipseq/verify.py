@@ -12,6 +12,7 @@ reconstructed position by position from the concatenation.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence as Seq
@@ -45,9 +46,10 @@ __all__ = [
     "shortest_supersequence_oracle",
 ]
 
-# Beyond this alphabet size the exhaustive pass (bitsets over 2**m letter
-# sets) exceeds desk scale; callers must opt in with allow_long=True.
-EXHAUSTIVE_LIMIT = 14
+# The exhaustive pass holds about 5m + 2 bitsets of 2**m bits: about
+# 0.5 GiB at m = 25, the paper's largest alphabet, doubling with each
+# further letter, so m = 26 would pass 1 GiB.
+EXHAUSTIVE_LIMIT = 25
 
 _SAMPLE_BATCH = 100_000
 
@@ -204,25 +206,20 @@ def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
 
 
 def _first_incomplete(
-    sequences: Seq[Seq[int]],
-    n: int,
-    k_max: Optional[int],
-    direction: str,
+    sequences: Seq[Seq[int]], n: int, direction: str
 ) -> Optional[Witness]:
-    """The witness of the smallest depth k <= k_max whose k sequences
-    nearest the checked end ("forward": the first) are not k-complete.
+    """The witness of the smallest depth k whose k sequences nearest the
+    checked end ("forward": the first) are not k-complete.
 
-    One pass over the c = min(k_max, n) nearest sequences, read from the
-    checked end (backward: reversed), answers every depth: depth k fails
-    iff some k-set is not in C after the k-th sequence, and is_k_complete
-    finds its witness.  If k_max > n and depths 1..n pass, depth n + 1 is
-    rejected as is_k_complete would reject it.
+    One pass over the c = min(len(sequences), n) nearest sequences, read
+    from the checked end (backward: reversed), answers every depth: depth
+    k fails iff some k-set is not in C after the k-th sequence, and
+    is_k_complete finds its witness.  If there are more than n sequences
+    and depths 1..n pass, depth n + 1 is rejected as is_k_complete would
+    reject it.
     """
     count = len(sequences)
-    k_max = count if k_max is None else k_max
-    if not 0 <= k_max <= count:
-        raise ValueError(f"k_max={k_max} outside 0..{count}")
-    c = min(k_max, n)
+    c = min(count, n)
     forward = direction == "forward"
     chosen = sequences[:c] if forward else sequences[count - c :][::-1]
     nearest = [seq if forward else seq[::-1] for seq in chosen]
@@ -235,32 +232,26 @@ def _first_incomplete(
         if atmost[k] & ~C:
             part = word[:end] if forward else word[:end][::-1]
             return Witness(is_k_complete(part, n, k).permutation, k, direction)
-    if k_max > n:
+    if count > n:
         raise ValueError(f"k={n + 1} outside 1..{n}")
     return None
 
 
-def forward_complete(
-    sequences: Seq[Seq[int]], n: int, k_max: Optional[int] = None
-) -> Optional[Witness]:
-    """Check that each k-prefix concatenation is k-complete, k = 1..k_max."""
-    return _first_incomplete(sequences, n, k_max, "forward")
+def forward_complete(sequences: Seq[Seq[int]], n: int) -> Optional[Witness]:
+    """Check that each k-prefix concatenation is k-complete, k = 1..the
+    number of sequences; pass sequences[:k] for the depths 1..k only."""
+    return _first_incomplete(sequences, n, "forward")
 
 
-def backward_complete(
-    sequences: Seq[Seq[int]], n: int, k_max: Optional[int] = None
-) -> Optional[Witness]:
-    """Mirror of forward_complete over suffix concatenations."""
-    return _first_incomplete(sequences, n, k_max, "backward")
+def backward_complete(sequences: Seq[Seq[int]], n: int) -> Optional[Witness]:
+    """Mirror of forward_complete over suffix concatenations; pass
+    sequences[len(sequences) - k:] for the depths 1..k only."""
+    return _first_incomplete(sequences, n, "backward")
 
 
-def strongly_complete(
-    sequences: Seq[Seq[int]], n: int, k_max: Optional[int] = None
-) -> Optional[Witness]:
+def strongly_complete(sequences: Seq[Seq[int]], n: int) -> Optional[Witness]:
     """Both directions; the returned witness records which one failed."""
-    return forward_complete(sequences, n, k_max) or backward_complete(
-        sequences, n, k_max
-    )
+    return forward_complete(sequences, n) or backward_complete(sequences, n)
 
 
 def quasi_palindrome(sequences: Seq[Seq[int]]) -> BijectionReport:
@@ -283,15 +274,17 @@ def quasi_palindrome(sequences: Seq[Seq[int]]) -> BijectionReport:
 
 
 def verify_supersequence_exhaustive(
-    word: Seq[int], m: int, allow_long: bool = False
+    word: Seq[int], m: int
 ) -> VerificationReport:
-    """Check that every permutation of {1..m} is a subsequence of word."""
+    """Check that every permutation of {1..m} is a subsequence of word,
+    for m up to EXHAUSTIVE_LIMIT; is_k_complete(word, m, m) has no
+    ceiling."""
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
-    if m > EXHAUSTIVE_LIMIT and not allow_long:
+    if m > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"m={m} exceeds the exhaustive ceiling {EXHAUSTIVE_LIMIT}; "
-            "pass allow_long=True or use sampled mode"
+            "use sampled mode"
         )
     start = time.perf_counter()
     witness = is_k_complete(word, m, m)
@@ -511,9 +504,7 @@ def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
     return family
 
 
-def shortest_supersequence_oracle(
-    m: int, length_cap: Optional[int] = None
-) -> tuple[int, tuple[int, ...]]:
+def shortest_supersequence_oracle(m: int) -> tuple[int, tuple[int, ...]]:
     """Smallest length admitting a supersequence over {1..m}, found by a
     breadth-first search over the states of the completeness pass.
 
@@ -523,18 +514,18 @@ def shortest_supersequence_oracle(
     next level is again sorted by those words.  The first complete state
     found therefore ends the lexicographically least supersequence of the
     smallest length.  A state is expanded only when first reached, so each
-    (state, letter) pair is stepped once.  Only desk-scale alphabets
+    (state, letter) pair is stepped once; the states are finitely many and
+    a supersequence exists, so the search ends.  Only desk-scale alphabets
     (m <= 4) are supported.
     """
     if not 1 <= m <= 4:
         raise ValueError(f"oracle supports 1 <= m <= 4, got m={m}")
-    cap = length_cap if length_cap is not None else m * m
     without, _, tree = _universe(m, 0)
     full = (1 << m) - 1  # the bit of the whole alphabet
     start = tuple(tree)
     parent: dict[tuple[int, ...], tuple] = {start: ()}
     frontier = [start]
-    for length in range(1, cap + 1):
+    for length in itertools.count(1):
         level = []
         for state in frontier:
             for a in range(1, m + 1):
@@ -552,4 +543,3 @@ def shortest_supersequence_oracle(
                     return length, tuple(reversed(word))
                 level.append(nxt)
         frontier = level
-    raise ValueError(f"no supersequence over {m} letters up to length {cap}")

@@ -40,6 +40,21 @@ class TestGenerate:
         assert code == 2
         assert "erratum" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--s", "2", "--n", "-100"),
+            ("generate", "--s", "3", "--n", "-30"),
+            ("verify", "--s", "2", "--n", "-100", "--sampled", "--seed", "1"),
+        ],
+        ids=["generate-s2", "generate-s3", "verify-sampled"],
+    )
+    def test_n_far_below_range_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be >=" in err
+
     @pytest.mark.parametrize("command", ["generate", "verify"])
     def test_level_below_1_exit_2(self, capsys, command):
         code, out, err = run(capsys, command, "--s", "0", "--n", "5")
@@ -129,6 +144,23 @@ class TestVerify:
         assert code == 1
         assert "witness: 1,2" in out
 
+    def test_generated_m16_exhaustive_passes(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--s", "1", "--n", "15", "--exhaustive"
+        )
+        assert code == 0
+        assert "verdict: pass (exhaustive)" in out
+
+    def test_above_ceiling_exit_2(self, capsys):
+        word = ",".join(map(str, range(1, 27)))
+        code, out, err = run(
+            capsys, "verify", "--word", word, "--m", "26", "--exhaustive"
+        )
+        assert code == 2
+        assert out == ""
+        assert "m=26 exceeds the exhaustive ceiling 25; use sampled mode" in err
+        assert "allow_long" not in err
+
     def test_missing_input_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--exhaustive")
         assert code == 2
@@ -175,6 +207,16 @@ class TestAnalyze:
         (row,) = json.loads(out)
         assert row["classical"] == 579
         assert row["best_len"] == 573
+
+    def test_single_m_text(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--m", "25")
+        assert code == 0
+        assert out == (
+            "           m    classical    zalinescu  radomirovic"
+            "       best_s     best_len       actual\n"
+            "          25          579          578          573"
+            "            2          573            -\n"
+        )
 
     def test_coefficients(self, capsys):
         code, out, _ = run(

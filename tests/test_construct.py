@@ -57,6 +57,15 @@ class TestValidate:
         assert not validate(3, 12).ok
         assert not validate(5, 20).ok
 
+    @pytest.mark.parametrize(
+        "s, n, above", [(1, -14, 4), (2, -100, 9), (3, -30, 13)]
+    )
+    def test_far_below_range_reports_least_valid(self, s, n, above):
+        result = validate(s, n)
+        assert not result.ok
+        assert result.nearest_below is None
+        assert result.nearest_above == above
+
 
 class TestValidLevels:
     def test_matches_validate(self):

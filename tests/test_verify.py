@@ -137,7 +137,7 @@ class TestIsKComplete:
 class TestCompleteness:
     def test_t2_12_prefix_8(self):
         glist = gen_t2(12)
-        assert forward_complete(glist.sequences, 12, k_max=8) is None
+        assert forward_complete(glist.sequences[:8], 12) is None
 
     def test_t1_full_depth(self):
         glist = gen_t1(6)
@@ -146,7 +146,7 @@ class TestCompleteness:
 
     def test_t2_12_backward_prefix(self):
         glist = gen_t2(12)
-        assert backward_complete(glist.sequences, 12, k_max=8) is None
+        assert backward_complete(glist.sequences[12 - 8 :], 12) is None
 
     def test_non_example_forward_not_backward(self):
         bad = [(1, 2, 3), (1, 2), (1, 3)]
@@ -159,9 +159,9 @@ class TestCompleteness:
         assert sw.direction == "backward"
 
     def test_agrees_with_naive_per_prefix_check(self):
-        def naive(sequences, n, k_max, direction):
+        def naive(sequences, n, direction):
             word = ()
-            for k in range(1, k_max + 1):
+            for k in range(1, len(sequences) + 1):
                 if k > n:
                     return "ValueError"
                 if direction == "forward":
@@ -192,39 +192,34 @@ class TestCompleteness:
         for _ in range(400):
             n = rng.randint(1, 6)
             letters = range(1, n + 1)
+            if rng.random() < 0.3:
+                depth = rng.randint(1, n + 2)  # may exceed n
+            else:
+                depth = rng.randint(1, n)
             if rng.random() < 0.5:
                 sequences = [
                     tuple(rng.sample(letters, rng.randint(1, n)))
-                    for _ in range(rng.randint(1, n + 2))
+                    for _ in range(depth)
                 ]
             else:  # repeated letters within a sequence
                 sequences = [
                     tuple(rng.choices(letters, k=rng.randint(0, 2 * n)))
-                    for _ in range(rng.randint(1, n + 2))
+                    for _ in range(depth)
                 ]
-            if rng.random() < 0.3:
-                k_max, depth = None, len(sequences)  # may exceed n
-            else:
-                k_max = depth = rng.randint(1, min(n, len(sequences)))
-            fwd = naive(sequences, n, depth, "forward")
-            bwd = naive(sequences, n, depth, "backward")
-            assert outcome(forward_complete, sequences, n, k_max) == fwd
-            assert outcome(backward_complete, sequences, n, k_max) == bwd
-            assert outcome(strongly_complete, sequences, n, k_max) == (
-                fwd or bwd
-            )
+            fwd = naive(sequences, n, "forward")
+            bwd = naive(sequences, n, "backward")
+            assert outcome(forward_complete, sequences, n) == fwd
+            assert outcome(backward_complete, sequences, n) == bwd
+            assert outcome(strongly_complete, sequences, n) == (fwd or bwd)
             outcomes.add((kind(fwd), kind(bwd)))
         # pass/fail in each direction occurs, and so do depths beyond n
         assert set(itertools.product(["pass", "fail"], repeat=2)) <= outcomes
         assert ("ValueError", "ValueError") in outcomes
 
     def test_k_max_range(self):
-        sequences = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)]
+        # the deepest depth checked is the number of sequences given
         for check in (forward_complete, backward_complete, strongly_complete):
-            for k_max in (3, 4, -1):
-                with pytest.raises(ValueError, match="k_max"):
-                    check(sequences, 5, k_max)
-            assert check(sequences, 5, 0) is None
+            assert check([], 5) is None
             # depths 1..n pass, then depth n + 1 does not exist
             with pytest.raises(ValueError, match="k=6 outside 1..5"):
                 check([(1, 2, 3, 4, 5)] * 6, 5)
@@ -273,7 +268,7 @@ class TestCompleteness:
         # a pass at depth k implies no re-failure at any smaller depth
         glist = gen_t2(9)
         for k in range(1, 10):
-            assert forward_complete(glist.sequences, 9, k_max=k) is None
+            assert forward_complete(glist.sequences[:k], 9) is None
 
 
 class TestQuasiPalindrome:
@@ -334,7 +329,7 @@ class TestExhaustive:
         # bit-parallel pass replaced
         word = build_supersequence(gen_ts(s, n)).word
         word = word[:p] + word[p + 1 :]
-        report = verify_supersequence_exhaustive(word, n + 1, allow_long=True)
+        report = verify_supersequence_exhaustive(word, n + 1)
         assert report.witness == verify.Witness(witness, n + 1)
 
     @pytest.mark.parametrize("m", [0, -3])
@@ -361,7 +356,7 @@ class TestExhaustive:
             f"p = {deleted}\n"
             "if p is not None:\n"
             "    word = word[:p] + word[p + 1:]\n"
-            "r = verify_supersequence_exhaustive(word, 25, allow_long=True)\n"
+            "r = verify_supersequence_exhaustive(word, 25)\n"
             "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
             "print(r.witness.permutation if r.witness else None)\n"
             "print(hwm[0].split()[1])\n"
@@ -376,6 +371,34 @@ class TestExhaustive:
             assert witness == "None"
         else:
             assert witness == str(M25_DELETION_WITNESS)
+        assert int(peak_kib) < 1024 * 1024
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_cli_m25_exhaustive(self):
+        # the README's command line for the 573-letter word, in a child
+        # that reports its exit code, elapsed time and VmHWM
+        code = (
+            "import time\n"
+            "from skipseq import cli\n"
+            "start = time.perf_counter()\n"
+            "code = cli.main(['verify', '--s', '4', '--n', '24', '--exhaustive',"
+            " '--format', 'json'])\n"
+            "elapsed = time.perf_counter() - start\n"
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(code, elapsed, hwm[0].split()[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert '"verdict": "pass"' in result.stdout
+        code, elapsed, peak_kib = result.stdout.split("\n")[-2].split()
+        assert int(code) == 0
+        assert float(elapsed) < 15.0
         assert int(peak_kib) < 1024 * 1024
 
     def test_agrees_with_naive_on_random_words(self):
@@ -628,17 +651,6 @@ class TestOracle:
             if naive_supersequence_check(w, m)
         )
         assert first == word
-
-    def test_cap_exceeded(self):
-        with pytest.raises(ValueError, match="up to length"):
-            shortest_supersequence_oracle(3, length_cap=6)
-
-    @pytest.mark.parametrize("m,shortest", [(2, 3), (3, 7), (4, 12)])
-    def test_cap_boundary(self, m, shortest):
-        length, _ = shortest_supersequence_oracle(m, length_cap=shortest)
-        assert length == shortest
-        with pytest.raises(ValueError, match="up to length"):
-            shortest_supersequence_oracle(m, length_cap=shortest - 1)
 
     def test_m_4(self):
         found = shortest_supersequence_oracle(4)
