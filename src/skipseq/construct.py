@@ -131,11 +131,10 @@ def validate(s: int, n: int) -> ValidationResult:
             f"n={n} must be >= {4 * s + 1} and = 3 (mod {2 * s - 1}) "
             f"at level {s}"
         )
-    below = next((v for v in range(n - 1, 0, -1) if _is_valid(s, v)), None)
-    # valid values start at 4, 9 or 4s + 1 and then recur every 2s - 1, so
-    # the window holds one from any start, negative n included
-    lo = max(n, 0) + 1
-    above = next(v for v in range(lo, lo + 8 * s + 9) if _is_valid(s, v))
+    # the valid values are least, least + p, least + 2p, ... (9 at s = 2)
+    least, p = (4, 1) if s == 1 else (4 * s + 1, 2 * s - 1)
+    below = None if n <= least else n - 1 - (n - 1 - least) % p
+    above = least if n < least else n + p - (n - least) % p
     return ValidationResult(False, reason, below, above)
 
 

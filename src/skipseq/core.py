@@ -1,5 +1,5 @@
 """Sequence primitives: 1-based inclusive slicing, subsequence tests,
-next-occurrence tables.
+next-occurrence tables (dense, or segmented into blocks for long words).
 
 Sequences are plain tuples of small positive integers (letters).  All index
 arithmetic in the public functions is 1-based and inclusive at both ends;
@@ -66,9 +66,12 @@ class NextOccurrenceTable:
     exists too and maps every letter to ``absent``, which makes chained
     lookups sticky past a failure.
 
-    ``next_after`` and ``match`` answer single lookups by scanning the word;
-    ``as_array`` builds the whole table as an int32 array for vectorized
-    matching.
+    ``next_after`` and ``match`` answer single lookups by scanning the word.
+    For vectorized matching, ``as_array`` builds the whole table as an int32
+    array of (L+2)·(m+1) cells, and ``as_blocks`` a segmented form of
+    (B+2)·(m+1) + L+2 cells for a word of B blocks of distinct letters:
+    about m² for the paper's words of length about m², against the dense
+    table's m³. B reaches L only for a word such as 1,1,1,…
     """
 
     def __init__(self, word: Seq[int], m: int):
@@ -113,3 +116,34 @@ class NextOccurrenceTable:
         back = table[::-1]
         np.minimum.accumulate(back, axis=0, out=back)
         return table
+
+    def as_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Segmented form of the table: ``(first, block)`` int32 arrays.
+
+        The word is cut into maximal runs of distinct letters (blocks),
+        numbered from 0, and block B = ``block[L]`` closes the word.
+        ``block[g]`` is the block holding index g+1 (B for g = L and L+1),
+        and ``first[b, a]`` is the first index at or after block b's start
+        that holds a, or ``absent``, in B+2 rows built by a running minimum
+        over blocks. A letter occurs at most once per block, so the
+        smallest index > g holding a is ``first[block[g], a]`` when that
+        exceeds g, and ``first[block[g] + 1, a]`` otherwise.
+        """
+        L = len(self.word)
+        block = np.zeros(L + 2, dtype=np.int32)
+        last = [-1] * (self.m + 1)
+        start = 0
+        for p, a in enumerate(self.word):
+            if last[a] >= start:
+                start = p
+                block[p] = 1
+            last[a] = p
+        block[L] = 1
+        np.cumsum(block, out=block)
+        first = np.full((block[L] + 2, self.m + 1), self.absent, dtype=np.int32)
+        first[block[:L], np.array(self.word, dtype=np.intp)] = np.arange(
+            1, L + 1
+        )
+        back = first[::-1]
+        np.minimum.accumulate(back, axis=0, out=back)
+        return first, block

@@ -6,8 +6,11 @@ ints with a bit per letter set, the sets all of whose orderings are
 subsequences of the prefix read (completeness runs it once per direction
 for all prefix or suffix depths); the shortest-length oracle searches
 breadth-first over the states of the same pass; sampled checks match
-seeded random permutations; and the quasi-palindrome bijection is
-reconstructed position by position from the concatenation.
+seeded random permutations in fixed-size batches against the dense or,
+for long words, the segmented next-occurrence table, so their memory is
+bounded by one cell budget whatever the word's length; and the
+quasi-palindrome bijection is reconstructed position by position from
+the concatenation.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ __all__ = [
 # further letter, so m = 26 would pass 1 GiB.
 EXHAUSTIVE_LIMIT = 25
 
-_SAMPLE_BATCH = 100_000
+# Cells that one batch of sampled permutations (int64, 16 MiB) or the
+# dense next-occurrence table (int32, 8 MiB) may hold.
+_CELL_BUDGET = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -294,22 +299,66 @@ def verify_supersequence_exhaustive(
     return VerificationReport("fail", "exhaustive", witness, stats)
 
 
-def _check_rows(nxt: np.ndarray, perms: np.ndarray, absent: int) -> int:
-    """Vectorized greedy match of permutation rows; index of the first
-    failing row, or -1.
+class _Matcher:
+    """Greedy matching of batches of up to `rows` permutation rows against
+    a word, in buffers allocated once.
 
-    Gathers from the flattened table at pos * width + letter, computed in
-    np.intp so that an int32 table cannot overflow the index.
+    Dense: the int32 ``as_array`` table scaled by its width, so that a
+    position is held as the offset of its row and a step is one add and
+    one gather. Segmented (``as_blocks``): a step gathers each position's
+    block, then the letter's first index in that block and in the next,
+    and keeps the first that lies past the position. Positions are held
+    times `scale`. Both tables stay int32; every array used as gather
+    indices is np.intp, which np.take reads without a converted copy.
     """
-    width = nxt.shape[1]
-    flat = nxt.ravel()
-    pos = np.zeros(len(perms), dtype=np.intp)
-    for j in range(perms.shape[1]):
-        idx = np.multiply(pos, width, dtype=np.intp)
-        idx += perms[:, j]
-        pos = flat[idx]
-    bad = np.flatnonzero(pos >= absent)
-    return int(bad[0]) if len(bad) else -1
+
+    def __init__(self, table: NextOccurrenceTable, rows: int, dense: bool):
+        self.dense = dense
+        if dense:
+            self.scale = table.m + 1
+            self.flat = table.as_array().ravel()
+            self.flat *= self.scale
+        else:
+            self.scale = 1
+            first, block = table.as_blocks()
+            self.flat = first.ravel()
+            self.after = self.flat[first.shape[1] :]
+            self.block = block.astype(np.intp)
+            self.block *= first.shape[1]
+            self.firsts = np.empty((2, rows), dtype=np.int32)
+            self.mask = np.empty(rows, dtype=bool)
+        self.limit = table.absent * self.scale
+        self.pos = np.empty(rows, dtype=np.int32 if dense else np.intp)
+        self.idx = np.empty(rows, dtype=np.intp)
+
+    def advance(self, pos: np.ndarray, perms: np.ndarray) -> None:
+        """Greedy-match each row of perms from its entry of pos, a slice of
+        a buffer like `self.pos`, and overwrite it with the end position."""
+        n = len(pos)
+        idx = self.idx[:n]
+        if self.dense:
+            for letters in perms.T:
+                np.add(pos, letters, out=idx)
+                np.take(self.flat, idx, out=pos, mode="clip")
+            return
+        near, far = self.firsts[:, :n]
+        mask = self.mask[:n]
+        for letters in perms.T:
+            np.take(self.block, pos, out=idx, mode="clip")
+            np.add(idx, letters, out=idx)
+            np.take(self.flat, idx, out=near, mode="clip")
+            np.take(self.after, idx, out=far, mode="clip")
+            np.greater(near, pos, out=mask)
+            np.copyto(pos, far)
+            np.copyto(pos, near, where=mask)
+
+    def first_failure(self, perms: np.ndarray) -> int:
+        """Index of the first row of perms the word does not contain, or -1."""
+        pos = self.pos[: len(perms)]
+        pos.fill(0)
+        self.advance(pos, perms)
+        bad = np.flatnonzero(pos >= self.limit)
+        return int(bad[0]) if len(bad) else -1
 
 
 def verify_supersequence_sampled(
@@ -323,7 +372,14 @@ def verify_supersequence_sampled(
     permutations (Fisher-Yates shuffles from a seeded PRNG).
 
     Every `extra` member must have length m and letters in 1..m.
-    Bit-identical for identical (word, m, count, seed, extra).
+    Bit-identical for identical (word, m, count, seed, extra): the
+    permutations are drawn row by row from one stream, so the batch size
+    changes neither them nor the witness nor ``permutations_checked``.
+
+    Memory is bounded by `_CELL_BUDGET`: permutations are matched in
+    batches of budget // m rows, refilled in one buffer, and the dense
+    table is built only when its (L+2)·(m+1) cells fit the budget; a
+    longer word is matched on the segmented table.
     """
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
@@ -337,35 +393,36 @@ def verify_supersequence_sampled(
         raise ValueError(f"extra permutations must use letters 1..{m}")
     start = time.perf_counter()
     table = NextOccurrenceTable(word, m)
-    nxt = table.as_array()
-    absent = table.absent
-
-    def report(verdict, witness=None):
-        stats = {
-            "permutations_checked": checked,
-            "elapsed_s": time.perf_counter() - start,
-        }
-        return VerificationReport(verdict, "sampled", witness, stats, seed)
-
-    bad = _check_rows(nxt, family, absent)
-    if bad >= 0:
-        checked = bad + 1
-        return report("fail", Witness(tuple(extra[bad]), m))
-    checked = len(extra)
+    rows = min(max(1, _CELL_BUDGET // m), max(count, len(extra)))
+    dense = (len(table.word) + 2) * (m + 1) <= _CELL_BUDGET
+    matcher = _Matcher(table, rows, dense)
     rng = np.random.default_rng(seed)
     base = np.arange(1, m + 1, dtype=np.int64)
-    remaining = count
-    while remaining > 0:
-        b = min(_SAMPLE_BATCH, remaining)
-        perms = np.tile(base, (b, 1))
-        rng.permuted(perms, axis=1, out=perms)
-        bad = _check_rows(nxt, perms, absent)
+    perms = np.empty((min(rows, count), m), dtype=np.int64)
+
+    def batches():
+        for lo in range(0, len(extra), rows):
+            yield family[lo : lo + rows]
+        for lo in range(0, count, rows):
+            batch = perms[: min(rows, count - lo)]
+            batch[:] = base
+            rng.permuted(batch, axis=1, out=batch)
+            yield batch
+
+    checked, witness = 0, None
+    for batch in batches():
+        bad = matcher.first_failure(batch)
         if bad >= 0:
             checked += bad + 1
-            return report("fail", Witness(tuple(int(x) for x in perms[bad]), m))
-        checked += b
-        remaining -= b
-    return report("pass")
+            witness = Witness(tuple(int(x) for x in batch[bad]), m)
+            break
+        checked += len(batch)
+    stats = {
+        "permutations_checked": checked,
+        "elapsed_s": time.perf_counter() - start,
+    }
+    verdict = "pass" if witness is None else "fail"
+    return VerificationReport(verdict, "sampled", witness, stats, seed)
 
 
 def trace_m_sets(

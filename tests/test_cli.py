@@ -40,6 +40,13 @@ class TestGenerate:
         assert code == 2
         assert "erratum" in err
 
+    def test_huge_level_exit_2(self, capsys):
+        # validation costs the same at any level: no scan of candidates
+        code, out, err = run(capsys, "generate", "--s", "1000000000", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert "4000000001" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -65,6 +66,39 @@ class TestValidate:
         assert not result.ok
         assert result.nearest_below is None
         assert result.nearest_above == above
+
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_neighbours_match_scan(self, s):
+        # the closed form against a scan of every candidate
+        for n in range(-20, 201):
+            result = validate(s, n)
+            if result.ok:
+                continue
+            below = next(
+                (v for v in range(n - 1, 0, -1) if validate(s, v).ok), None
+            )
+            above = next(
+                v for v in itertools.count(max(n, 0) + 1) if validate(s, v).ok
+            )
+            assert (result.nearest_below, result.nearest_above) == (
+                below,
+                above,
+            ), (s, n)
+
+    def test_neighbours_at_large_level(self):
+        result = validate(10**9, 5)
+        assert result.nearest_below is None
+        assert result.nearest_above == 4_000_000_001
+        result = validate(10**6, 10**6)
+        assert result.nearest_below is None
+        assert result.nearest_above == 4_000_001
+        # far inside the range the neighbours are one period 2s - 1 apart
+        result = validate(10**6, 10**12)
+        below, above = result.nearest_below, result.nearest_above
+        assert below < 10**12 < above
+        assert above - below == 1_999_999
+        assert validate(10**6, below).ok and validate(10**6, above).ok
 
 
 class TestValidLevels:

@@ -134,3 +134,36 @@ class TestNextOccurrenceTable:
             for p in range(len(word) + 2):
                 for a in range(1, m + 1):
                     assert arr[p, a] == t.next_after(p, a)
+
+    def test_as_blocks_lookup_matches_next_after(self):
+        # the segmented lookup, read through the rule in as_blocks'
+        # docstring, must equal the scan at every position 0..L+1 and
+        # letter, on repeated letters, absent letters, one letter repeated
+        # and the empty word
+        rng = random.Random(19)
+        words = [((), 3), ((1,) * 12, 2), ((1, 2, 3, 1, 2, 3), 4)]
+        for _ in range(80):
+            m = rng.randint(1, 9)
+            used = rng.randint(1, m)  # letters used..m never occur
+            words.append(
+                (tuple(rng.randint(1, used) for _ in range(rng.randint(0, 40))), m)
+            )
+        for word, m in words:
+            t = NextOccurrenceTable(word, m)
+            first, block = t.as_blocks()
+            assert block.shape == (len(word) + 2,)
+            assert first.shape == (block[-1] + 2, m + 1)
+            for g in range(len(word) + 2):
+                b = block[g]
+                for a in range(1, m + 1):
+                    near = first[b, a]
+                    got = near if near > g else first[b + 1, a]
+                    assert got == t.next_after(g, a), (word, g, a)
+
+    def test_as_blocks_are_maximal_runs_of_distinct_letters(self):
+        t = NextOccurrenceTable((1, 2, 1, 3, 2, 2, 4), 4)
+        first, block = t.as_blocks()
+        # blocks (1,2) (1,3,2) (2,4), then the closing block 3
+        assert block.tolist() == [0, 0, 1, 1, 1, 2, 2, 3, 3]
+        assert first.shape == (5, 5)
+        assert (first[3:] == t.absent).all()

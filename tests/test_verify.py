@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import golden
@@ -36,6 +37,17 @@ from skipseq.verify import (
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the seeded stream of verify_supersequence_sampled(word, 25, count,
+# seed=11) at 0-based indices 83 885 and 83 886
+M25_SEED11_LAST_OF_BATCH = (
+    11, 16, 13, 18, 5, 23, 15, 6, 10, 1, 20, 25, 17, 3, 21, 2, 24, 22, 9, 14,
+    12, 7, 19, 4, 8,
+)
+M25_SEED11_FIRST_OF_NEXT = (
+    10, 13, 3, 2, 24, 7, 14, 5, 4, 20, 23, 17, 15, 9, 21, 8, 16, 11, 25, 18,
+    19, 1, 6, 22, 12,
+)
+
 # the witness of the 573-letter word over 25 letters with its letter at
 # 0-based position 286 deleted, as the subset DP over letter sets that the
 # bit-parallel pass replaced found it (in 78 s)
@@ -60,6 +72,22 @@ def naive_least_missing(word, n, k):
 
 def naive_supersequence_check(word, m):
     return naive_least_missing(word, m, m) is None
+
+
+def _child_report(body):
+    """Run body in a fresh interpreter on this checkout's sources and
+    return the "key value" lines it prints, with its VmHWM in KiB (the
+    peak RSS of its own image) under "hwm"."""
+    code = body + (
+        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+        "print('hwm', hwm[0].split()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return dict(line.split(" ", 1) for line in result.stdout.splitlines())
 
 
 class TestIsKComplete:
@@ -493,12 +521,116 @@ class TestSampled:
         assert report.witness.permutation == tuple(range(13, 0, -1)) + (14,)
         assert report.stats["permutations_checked"] == 2
 
+    @pytest.mark.parametrize(
+        "s, n, cut, letter, dense, checked, digest",
+        [
+            (3, 98, 3725, 50, True, 47_250, "f1b89b8ea2def209"),
+            (3, 298, 40_000, 150, False, 14_470, "43e0360ee4fd1423"),
+        ],
+        ids=["m99-dense", "m299-segmented"],
+    )
+    def test_failure_past_second_batch_replays_pinned_values(
+        self, s, n, cut, letter, dense, checked, digest
+    ):
+        # the built word with `letter` deleted from its last `cut` letters;
+        # the values were recorded from the implementation that drew
+        # 100 000-row batches with np.tile
+        m = n + 1
+        word = build_supersequence(generate(s, n)).word
+        head = len(word) - cut
+        word = word[:head] + tuple(a for a in word[head:] if a != letter)
+        assert ((len(word) + 2) * (m + 1) <= verify._CELL_BUDGET) == dense
+        assert checked > 2 * (verify._CELL_BUDGET // m)
+        report = verify_supersequence_sampled(word, m, 100_000, seed=7)
+        assert report.stats["permutations_checked"] == checked
+        perm = report.witness.permutation
+        assert hashlib.sha256(repr(perm).encode()).hexdigest()[:16] == digest
+        assert not is_subsequence(perm, word)
+
+    @pytest.mark.parametrize(
+        "perm, count, checked, fails",
+        [
+            (M25_SEED11_LAST_OF_BATCH, 83_885, 83_885, False),
+            (M25_SEED11_LAST_OF_BATCH, 83_886, 83_886, True),
+            (M25_SEED11_LAST_OF_BATCH, 83_887, 83_886, True),
+            (M25_SEED11_FIRST_OF_NEXT, 83_885, 83_885, False),
+            (M25_SEED11_FIRST_OF_NEXT, 83_886, 83_886, False),
+            (M25_SEED11_FIRST_OF_NEXT, 83_887, 83_887, True),
+        ],
+        ids=["last-rows-1", "last-rows", "last-rows+1",
+             "next-rows-1", "next-rows", "next-rows+1"],
+    )
+    def test_batch_boundary_replays_pinned_values(
+        self, perm, count, checked, fails
+    ):
+        # The reversal of a permutation repeated m - 1 times contains every
+        # other permutation, so the word fails exactly at that permutation
+        # of the seeded stream. The two are the last of the first batch
+        # and the first of the second, and count runs over rows - 1, rows
+        # and rows + 1; the values were recorded from the implementation
+        # that drew 100 000-row batches with np.tile.
+        assert verify._CELL_BUDGET // 25 == 83_886
+        word = tuple(reversed(perm)) * 24
+        report = verify_supersequence_sampled(word, 25, count, seed=11)
+        assert report.stats["permutations_checked"] == checked
+        assert report.passed != fails
+        if fails:
+            assert report.witness.permutation == perm
+
+    def test_pass_counts_every_batch(self):
+        # three batches of 83 886, 83 886 and 1 rows at m = 25
+        word = build_supersequence(gen_ts(4, 24)).word
+        report = verify_supersequence_sampled(word, 25, 167_773, seed=11)
+        assert report.passed
+        assert report.stats["permutations_checked"] == 167_773
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
+    def test_matcher_step_matches_next_after(self, dense):
+        # one step from every position 0..L+1 with every letter, on
+        # repeated, absent and single letters and the empty word
+        rng = random.Random(23)
+        words = [((), 3), ((1,) * 15, 2), ((2, 1, 2, 1, 1), 3)]
+        for _ in range(40):
+            m = rng.randint(1, 8)
+            used = rng.randint(1, m)
+            words.append(
+                (tuple(rng.randint(1, used) for _ in range(rng.randint(0, 40))), m)
+            )
+        for word, m in words:
+            table = verify.NextOccurrenceTable(word, m)
+            g, a = np.divmod(np.arange((len(word) + 2) * m), m)
+            a += 1
+            matcher = verify._Matcher(table, len(g), dense)
+            pos = (g * matcher.scale).astype(matcher.pos.dtype)
+            matcher.advance(pos, a[:, None])
+            expected = [table.next_after(int(p), int(c)) for p, c in zip(g, a)]
+            assert (pos // matcher.scale).tolist() == expected, word
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
+    def test_matcher_first_failure_matches_naive(self, dense):
+        rng = random.Random(29)
+        for _ in range(150):
+            m = rng.randint(1, 6)
+            word = tuple(rng.randint(1, m) for _ in range(rng.randint(0, 30)))
+            perms = [tuple(rng.sample(range(1, m + 1), m))
+                     for _ in range(rng.randint(1, 40))]
+            expected = next(
+                (i for i, p in enumerate(perms) if not is_subsequence(p, word)),
+                -1,
+            )
+            table = verify.NextOccurrenceTable(word, m)
+            matcher = verify._Matcher(table, 40, dense)
+            batch = np.array(perms, dtype=np.int64)
+            assert matcher.first_failure(batch) == expected, (word, perms)
+            # a shorter batch reuses the same buffers
+            assert matcher.first_failure(batch[:1]) == (0 if expected == 0 else -1)
+
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
     def test_m299_peak_rss(self):
-        # The sampled path builds only the (L+2) x 300 int32 table, about
-        # 100 MiB at L = 88 691. The child reports VmHWM, the peak RSS of
+        # The dense (L+2) x 300 table would take about 100 MiB at
+        # L = 88 691. The child reports VmHWM, the peak RSS of
         # its own image: its ru_maxrss would also count this process's
         # RSS at the spawn, which earlier tests in the session inflate.
         code = (
@@ -516,6 +648,45 @@ class TestSampled:
         code, peak_kib = map(int, result.stdout.split("\n")[-2].split())
         assert code == 0
         assert peak_kib < 256 * 1024
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_m299_segmented_peak_rss(self):
+        # At m = 299 the dense table does not fit the cell budget, so the
+        # CLI matches on the segmented table (about 1 MiB) in batches of
+        # budget // m rows.
+        out = _child_report(
+            "import contextlib, io\n"
+            "from skipseq import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--s', '3', '--n', '298',"
+            " '--sampled', '--count', '10000', '--seed', '1'])\n"
+            "print('code', code)\n"
+        )
+        assert out["code"] == "0"
+        assert int(out["hwm"]) < 96 * 1024
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_m1000_sampled_time_and_peak_rss(self):
+        # the m = 1000 word (L = 997 553), whose dense table would take
+        # about 4 GB
+        out = _child_report(
+            "import time\n"
+            "from skipseq import build_supersequence, generate\n"
+            "from skipseq import verify_supersequence_sampled\n"
+            "word = build_supersequence(generate(42, 999)).word\n"
+            "start = time.perf_counter()\n"
+            "report = verify_supersequence_sampled(word, 1000, 10_000, seed=1)\n"
+            "print('elapsed', time.perf_counter() - start)\n"
+            "print('passed', report.passed)\n"
+        )
+        assert out["passed"] == "True"
+        assert float(out["elapsed"]) < 5.0
+        assert int(out["hwm"]) < 256 * 1024
 
 
 class TestAdversarial:
