@@ -34,6 +34,23 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _json_value(value, depth: int) -> str:
+    """json.dumps(value, indent=2) at nesting depth `depth` for an int or a
+    non-empty list (or tuple) of ints or of such lists.
+
+    json.dumps with an indent runs the pure-Python encoder, one chunk per
+    int; this joins str() of the ints instead, for the same bytes.
+    """
+    if isinstance(value, int):
+        return str(value)
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value[0], int):
+        items = map(str, value)
+    else:
+        items = (_json_value(v, depth + 1) for v in value)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 def _cmd_generate(args) -> int:
     glist = construct.generate(args.s, args.n)
     sseq = construct.build_supersequence(glist)
@@ -41,11 +58,15 @@ def _cmd_generate(args) -> int:
         payload = {
             "s": glist.s,
             "n": glist.n,
-            "sequences": [list(seq) for seq in glist.sequences],
-            "supersequence": list(sseq.word),
+            "sequences": glist.sequences,
+            "supersequence": sseq.word,
             "length": sseq.length,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        fields = (
+            f"  {json.dumps(key)}: {_json_value(value, 1)}"
+            for key, value in payload.items()
+        )
+        _emit("{\n" + ",\n".join(fields) + "\n}\n", args.output)
     else:
         lines = [",".join(map(str, seq)) for seq in glist.sequences]
         lines.append(",".join(map(str, sseq.word)))

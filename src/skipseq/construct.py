@@ -8,6 +8,9 @@ the written definitions.  Levels:
 * level 1 (``gen_t1``): the classical list, valid for any n > 3;
 * level 2 (``gen_t2``): one skip letter, n >= 9 and n = 0 (mod 3);
 * level s >= 3 (``gen_ts``): s-1 skip letters, n >= 4s+1 and n = 3 (mod 2s-1).
+
+Levels s >= 2 open with sigma_1..sigma_{s+1} of the level-1 list and build
+only that head of it (``_t1_head``), not the whole list.
 """
 
 from __future__ import annotations
@@ -169,15 +172,23 @@ def phi_reverse(s: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(skip_letters(s, n)))
 
 
-def gen_t1(n: int) -> GeneratedList:
-    """Level-1 list: sigma_k = sigma_{k-2}[-1] . sigma_{k-1}[1,-2]."""
-    _require_valid(1, n)
+def _t1_head(n: int, count: int) -> tuple[list[tuple[int, ...]], list[str]]:
+    """sigma_1..sigma_count of the level-1 list over {1..n}, with their
+    tags, for 2 <= count <= n-1: the forward part, whose first s+1
+    sequences level s >= 2 borrows."""
     seqs: list[tuple[int, ...]] = [tuple(range(1, n + 1)), tuple(range(1, n))]
     tags = [TAG_INITIAL, TAG_INITIAL]
-    for k in range(3, n):
+    for k in range(3, count + 1):
         prev2, prev = seqs[k - 3], seqs[k - 2]
         seqs.append((prev2[-1],) + pslice(prev, 1, -2))
         tags.append(TAG_FORWARD)
+    return seqs, tags
+
+
+def gen_t1(n: int) -> GeneratedList:
+    """Level-1 list: sigma_k = sigma_{k-2}[-1] . sigma_{k-1}[1,-2]."""
+    _require_valid(1, n)
+    seqs, tags = _t1_head(n, n - 1)
     prev2, prev = seqs[n - 3], seqs[n - 2]
     seqs.append((prev2[-1],) + pslice(prev, 1, -1))
     tags.append(TAG_FINAL)
@@ -187,8 +198,7 @@ def gen_t1(n: int) -> GeneratedList:
 def gen_t2(n: int) -> GeneratedList:
     """Level-2 list: one extra letter n skipped where k = 2 (mod 3)."""
     _require_valid(2, n)
-    t1 = gen_t1(n)
-    seqs: list[tuple[int, ...]] = [t1.seq(1), t1.seq(2), t1.seq(3)]
+    seqs, _ = _t1_head(n, 3)
     tags = [TAG_INITIAL] * 3
     for k in range(4, n - 2):
         prev2, prev = seqs[k - 3], seqs[k - 2]
@@ -232,8 +242,7 @@ def gen_ts(s: int, n: int) -> GeneratedList:
     fwd = pslice  # alias keeps the clauses below one line each
     ph = skip_letters(s, n)
     ph_rev = phi_reverse(s, n)
-    t1 = gen_t1(n)
-    seqs: list[tuple[int, ...]] = [t1.seq(k) for k in range(1, s + 2)]
+    seqs, _ = _t1_head(n, s + 1)
     tags = [TAG_INITIAL] * (s + 1)
     for k in range(s + 2, n - s):
         prev2, prev = seqs[k - 3], seqs[k - 2]
@@ -344,6 +353,8 @@ def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
         np_ = next(v for v in range(n, n + 30) if valid_levels(v))
         s, _ = best_level(np_ + 1)
         full = build_supersequence(generate(s, np_))
+        if np_ == n:  # no letter exceeds m
+            return full
         word = tuple(a for a in full.word if a <= m)
         return Supersequence(word, m, full.source)
     raise ValidationError(f"unknown strategy {strategy!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence as Seq
+from typing import Optional, Sequence as Seq
 
 import numpy as np
 
@@ -445,50 +445,44 @@ def trace_m_sets(
         raise ValueError("rho must have distinct letters from 1..n")
     if rho[k - 1] not in skip_letters(s, n):
         raise ValueError(f"rho[{k}]={rho[k - 1]} is not a skip letter")
-    after = _letters_after(glist)
+    pos = _positions(glist)
     steps: list[tuple[int, frozenset[int]]] = []
-    removed = 0
+    removed: set[int] = set()
     idx = k - 1
     terminated = idx
     max_size = 0
     while idx >= 1:
         prev_elem = rho[idx]  # rho[idx+1] in 1-based terms
-        tail = after(idx, prev_elem)
+        at = pos[idx][prev_elem]
         terminated = idx
-        if tail is None:
+        if at < 0:
             break
-        mask = tail & ~removed
-        m_set = frozenset(a for a in range(1, n + 1) if mask >> a & 1)
+        m_set = frozenset(glist.seq(idx)[at + 1 :]) - removed
         steps.append((idx, m_set))
         max_size = max(max_size, len(m_set))
         if not m_set or idx == 1:
             break
         if rho[idx - 1] not in m_set:
             break  # two consecutive rho elements land in sigma_idx
-        removed |= 1 << prev_elem
+        removed.add(prev_elem)
         idx -= 1
     return MSetTrace(tuple(steps), terminated, max_size)
 
 
-def _letters_after(
-    glist: GeneratedList,
-) -> Callable[[int, int], Optional[int]]:
-    """after(i, a): the bitmask (bit x for letter x) of the letters after a
-    in sigma_i, or None if a is not in sigma_i, built on first use."""
-    memo: dict[tuple[int, int], Optional[int]] = {}
-
-    def after(i: int, a: int) -> Optional[int]:
-        if (i, a) not in memo:
-            seq = glist.seq(i)
-            mask = None
-            if a in seq:
-                mask = 0
-                for x in seq[seq.index(a) + 1 :]:
-                    mask |= 1 << x
-            memo[i, a] = mask
-        return memo[i, a]
-
-    return after
+def _positions(glist: GeneratedList) -> list[list[int]]:
+    """pos[i][a]: the 0-based position of letter a in sigma_i, or -1 when a
+    is not in sigma_i (pos[0] is unused, so pos is indexed 1-based like the
+    list).  The rows share one set of int objects, so they take 8 bytes a
+    cell: 8 MB at n = 999, where one dict per sequence takes 55 MB."""
+    n = glist.n
+    at = list(range(n))
+    pos = [[-1] * (n + 1)]
+    for seq in glist.sequences:
+        row = [-1] * (n + 1)
+        for a, j in zip(seq, at):
+            row[a] = j
+        pos.append(row)
+    return pos
 
 
 def skip_chain_rho(
@@ -497,46 +491,47 @@ def skip_chain_rho(
     """A length-k distinct-letter sequence ending in the skip letter `last`
     whose tail walks the M-set recursion greedily, maximizing occupancy.
 
-    At each backward step the next element is chosen from the current M set
-    to maximize the size of the following set (ties to the smallest letter);
-    once the chain dies the front is padded with unused letters ascending.
+    At each backward step from sigma_idx the next element is the member of
+    the current M set that occurs first in sigma_{idx-1}, or the least
+    member when none occurs there.  This is the pick maximizing the size of
+    the following set: a later member b of M lies after an earlier one a in
+    sigma_{idx-1} and is not removed, so a's set strictly contains b's.
+    Once the chain dies the front is padded with unused letters ascending.
     """
     if glist.tag(k) != TAG_SKIP:
         raise ValueError(f"k={k} is not a skip-sequence index")
-    return _skip_chain(_letters_after(glist), glist.n, k, last)
+    return _skip_chain(glist, _positions(glist), k, last)
 
 
 def _skip_chain(
-    after: Callable[[int, int], Optional[int]], n: int, k: int, last: int
+    glist: GeneratedList, pos: list[list[int]], k: int, last: int
 ) -> tuple[int, ...]:
-    """skip_chain_rho over a _letters_after lookup, which chains of one
-    list share; M sets and letter sets are bitmasks."""
+    """skip_chain_rho over the _positions maps, which chains of one list
+    share."""
     rho: dict[int, int] = {k: last}
-    removed = 0
+    removed: set[int] = set()
     idx = k - 1
     while idx >= 1:
         prev = rho[idx + 1]
-        tail = after(idx, prev)
-        if tail is None:
+        at = pos[idx][prev]
+        if at < 0:
             break
-        m_set = tail & ~removed
+        tail = glist.sequences[idx - 1][at + 1 :]
+        m_set = [a for a in tail if a not in removed]
         if not m_set or idx == 1:
             break
-        removed |= 1 << prev
-        best = -2
-        while m_set:
-            bit = m_set & -m_set
-            a = bit.bit_length() - 1
-            rest = after(idx - 1, a)
-            size = -1 if rest is None else (rest & ~removed).bit_count()
-            if size > best:
-                best, pick = size, a
-            m_set ^= bit
-        rho[idx] = pick
+        removed.add(prev)
+        before = pos[idx - 1]
+        present = [a for a in m_set if before[a] >= 0]
+        rho[idx] = (
+            min(present, key=before.__getitem__) if present else min(m_set)
+        )
         idx -= 1
     used = set(rho.values())
-    unused = iter(a for a in range(1, n + 1) if a not in used)
-    return tuple(rho[p] if p in rho else next(unused) for p in range(1, k + 1))
+    unused = iter(a for a in range(1, glist.n + 1) if a not in used)
+    return tuple(
+        rho[p] if p in rho else next(unused) for p in range(1, k + 1)
+    )
 
 
 def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
@@ -551,10 +546,10 @@ def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
     for r in range(1, m):
         family.append(identity[r:] + identity[:r])
     if s >= 2:
-        after = _letters_after(glist)
+        pos = _positions(glist)
         for k in glist.skip_indices():
             for a in skip_letters(s, n):
-                chain = _skip_chain(after, n, k, a)
+                chain = _skip_chain(glist, pos, k, a)
                 in_chain = set(chain)
                 pad = tuple(x for x in range(1, m + 1) if x not in in_chain)
                 family.append(pad + chain)

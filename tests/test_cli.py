@@ -3,7 +3,11 @@ import json
 
 import pytest
 
-from skipseq import verify_supersequence_exhaustive
+from skipseq import (
+    build_supersequence,
+    generate,
+    verify_supersequence_exhaustive,
+)
 from skipseq.cli import main
 
 import golden
@@ -77,6 +81,25 @@ class TestGenerate:
         )
         assert code == 0
         assert json.loads(path.read_text())["length"] == 39
+
+    @pytest.mark.parametrize("s,n", [(1, 4), (2, 9), (3, 13), (4, 24)])
+    def test_json_bytes_match_json_dumps(self, capsys, tmp_path, s, n):
+        glist = generate(s, n)
+        word = build_supersequence(glist).word
+        payload = {
+            "s": s,
+            "n": n,
+            "sequences": [list(seq) for seq in glist.sequences],
+            "supersequence": list(word),
+            "length": len(word),
+        }
+        argv = ("generate", "--s", str(s), "--n", str(n), "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+        path = tmp_path / "out.json"
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
 
     def test_byte_identical_reruns(self, capsys):
         a = run(capsys, "generate", "--s", "3", "--n", "13", "--format", "json")

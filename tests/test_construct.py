@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -16,6 +17,7 @@ from skipseq import (
     generate,
     validate,
 )
+from skipseq.analyze import best_level
 from skipseq.construct import (
     TAG_FINAL,
     TAG_INITIAL,
@@ -123,6 +125,24 @@ class TestGenerate:
     def test_level_below_1_rejected_with_validate_reason(self, s):
         with pytest.raises(ValidationError, match=f"level s={s} must be >= 1"):
             generate(s, 5)
+
+    def test_every_valid_list_pinned(self):
+        # sha256 over (sequences, case_tags) of every valid (s, n) with
+        # 4 <= n <= 120, levels ascending at each n
+        digest = hashlib.sha256()
+        for n in range(4, 121):
+            for s in [1] + valid_levels(n):
+                glist = generate(s, n)
+                record = (glist.sequences, glist.case_tags)
+                digest.update(repr(record).encode())
+        assert digest.hexdigest() == (
+            "83d2743ce52258b776aa1a2e4bea3916292bd9c61c2c5005f139e366f9b72be9"
+        )
+
+    @pytest.mark.parametrize("s,n", [v for v in ALL_VALID if v[0] >= 2])
+    def test_levels_open_with_the_t1_head(self, s, n):
+        head = generate(s, n).sequences[: s + 1]
+        assert head == gen_t1(n).sequences[: s + 1]
 
 
 class TestGolden:
@@ -260,6 +280,17 @@ class TestConstructForM:
             sseq = construct_for_m(m, "restrict")
             assert set(sseq.word) == set(range(1, m + 1))
             assert verify_supersequence_exhaustive(sseq.word, m).passed
+
+    def test_restrict_is_the_restricted_build(self):
+        for m in range(5, 81):
+            n = next(v for v in itertools.count(m - 1) if valid_levels(v))
+            full = build_supersequence(generate(best_level(n + 1)[0], n))
+            sseq = construct_for_m(m, "restrict")
+            assert sseq.word == tuple(a for a in full.word if a <= m), m
+            assert sseq.m == m
+            assert sseq.source == full.source
+            if n == m - 1:
+                assert sseq == construct_for_m(m, "exact")
 
     def test_restriction_preserves_property(self):
         # deleting any single letter of a verified supersequence keeps the

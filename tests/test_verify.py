@@ -688,6 +688,27 @@ class TestSampled:
         assert float(out["elapsed"]) < 5.0
         assert int(out["hwm"]) < 256 * 1024
 
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_m1000_cli_sampled_time_and_peak_rss(self):
+        # the CLI run also builds the adversarial family of generate(42, 999):
+        # 451 skip chains, each walking up to 999 sequences
+        out = _child_report(
+            "import contextlib, io, time\n"
+            "from skipseq import cli\n"
+            "start = time.perf_counter()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--s', '42', '--n', '999',"
+            " '--sampled', '--count', '10000', '--seed', '1'])\n"
+            "print('elapsed', time.perf_counter() - start)\n"
+            "print('code', code)\n"
+        )
+        assert out["code"] == "0"
+        assert float(out["elapsed"]) < 5.0
+        assert int(out["hwm"]) < 256 * 1024
+
 
 class TestAdversarial:
     @pytest.mark.parametrize(
@@ -701,6 +722,7 @@ class TestAdversarial:
             (5, 39, "2ecf1cc59bbd3548"),
             (1, 20, "22b50588807c06bf"),
             (6, 47, "2576132fa28b259a"),
+            (42, 999, "753604c185154114"),
         ],
     )
     def test_family_pinned(self, s, n, digest):
