@@ -17,7 +17,6 @@ from typing import Iterable, Optional
 
 from .construct import (
     ValidationError,
-    build_supersequence,
     generate,
     valid_levels,
     validate,
@@ -157,7 +156,8 @@ def comparison_table(
         best = best_level(m)
         actual = None
         if with_actual and best is not None:
-            actual = build_supersequence(generate(best[0], m - 1)).length
+            # interposition adds n + 1 = m letters
+            actual = generate(best[0], m - 1).total_elements + m
         rows.append(
             ComparisonRow(
                 m=m,

@@ -16,7 +16,7 @@ only that head of it (``_t1_head``), not the whole list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import pslice
@@ -92,11 +92,11 @@ class GeneratedList:
 @dataclass(frozen=True)
 class Supersequence:
     """Word over {1..m}; for interposed builds m = n+1 and the new letter
-    is encoded as m itself."""
+    is encoded as m itself.  It holds only the letters: an interposed
+    word's length is its list's total_elements + m."""
 
     word: tuple[int, ...]
     m: int
-    source: Optional[GeneratedList] = field(default=None, compare=False)
 
     @property
     def length(self) -> int:
@@ -314,7 +314,7 @@ def build_supersequence(glist: GeneratedList) -> Supersequence:
     for seq in glist.sequences:
         word.extend(seq)
         word.append(m)
-    return Supersequence(tuple(word), m, glist)
+    return Supersequence(tuple(word), m)
 
 
 def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
@@ -356,5 +356,5 @@ def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
         if np_ == n:  # no letter exceeds m
             return full
         word = tuple(a for a in full.word if a <= m)
-        return Supersequence(word, m, full.source)
+        return Supersequence(word, m)
     raise ValidationError(f"unknown strategy {strategy!r}")

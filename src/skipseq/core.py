@@ -66,7 +66,7 @@ class NextOccurrenceTable:
     exists too and maps every letter to ``absent``, which makes chained
     lookups sticky past a failure.
 
-    ``next_after`` and ``match`` answer single lookups by scanning the word.
+    ``next_after`` answers a single lookup by scanning the word.
     For vectorized matching, ``as_array`` builds the whole table as an int32
     array of (L+2)·(m+1) cells, and ``as_blocks`` a segmented form of
     (B+2)·(m+1) + L+2 cells for a word of B blocks of distinct letters:
@@ -91,15 +91,6 @@ class NextOccurrenceTable:
             return self.word.index(letter, pos) + 1
         except ValueError:
             return self.absent
-
-    def match(self, candidate: Iterable[int]) -> int:
-        """Greedy-match candidate; final matched position, or ``absent``."""
-        pos = 0
-        for a in candidate:
-            pos = self.next_after(pos, a)
-            if pos == self.absent:
-                return self.absent
-        return pos
 
     def as_array(self) -> np.ndarray:
         """(L+2, m+1) int32 array of the table, for vectorized matching.

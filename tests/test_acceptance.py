@@ -66,9 +66,9 @@ def test_criterion_2_length_reproduction():
     assert glist.total_elements == 548
     assert build_supersequence(glist).length == 573
     for s, n in all_valid_pairs():
-        built = build_supersequence(generate(s, n))
-        assert built.length == predicted_length(s, n + 1)
-        assert built.source.total_elements == concat_length(s, n + 1)
+        glist = generate(s, n)
+        assert build_supersequence(glist).length == predicted_length(s, n + 1)
+        assert glist.total_elements == concat_length(s, n + 1)
     assert time.perf_counter() - start < 5.0
     _ok("2 (length reproduction)")
 

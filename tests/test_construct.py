@@ -28,6 +28,7 @@ from skipseq.construct import (
     valid_levels,
 )
 from skipseq.verify import quasi_palindrome, verify_supersequence_exhaustive
+from test_verify import _child_report
 
 ALL_VALID = (
     [(1, n) for n in range(4, 12)]
@@ -288,9 +289,19 @@ class TestConstructForM:
             sseq = construct_for_m(m, "restrict")
             assert sseq.word == tuple(a for a in full.word if a <= m), m
             assert sseq.m == m
-            assert sseq.source == full.source
             if n == m - 1:
                 assert sseq == construct_for_m(m, "exact")
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_held_words_peak_rss(self):
+        # a held word keeps only its letters, not the list it was built from
+        out = _child_report(
+            "from skipseq.construct import construct_for_m\n"
+            "words = [construct_for_m(m, 'restrict') for m in range(5, 301)]\n"
+        )
+        assert int(out["hwm"]) < 136 * 1024
 
     def test_restriction_preserves_property(self):
         # deleting any single letter of a verified supersequence keeps the

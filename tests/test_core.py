@@ -104,15 +104,6 @@ class TestNextOccurrenceTable:
                         assert word[q - 1] == a
                         assert a not in word[p : q - 1]
 
-    def test_match_agrees_with_two_pointer(self):
-        rng = random.Random(11)
-        for _ in range(10_000):
-            m = rng.randint(1, 6)
-            word = tuple(rng.randint(1, m) for _ in range(rng.randint(0, 20)))
-            cand = tuple(rng.randint(1, m) for _ in range(rng.randint(0, 8)))
-            t = NextOccurrenceTable(word, m)
-            assert (t.match(cand) != t.absent) == is_subsequence(cand, word)
-
     def test_as_array_matches_rows(self):
         # the array and next_after's scan of the word are independent;
         # they must agree in every cell, including the sentinel row and
