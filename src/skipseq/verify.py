@@ -166,9 +166,12 @@ def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    table = NextOccurrenceTable(word, n)
-    L = len(table.word)
-    rev = table.word[::-1]
+    word = NextOccurrenceTable(word, n).word  # the table checks the letters
+    L = len(word)
+    rev = word[::-1]
+    # one copy of every letter past the end: index finds any letter, at
+    # L or later when the letter is not after pos
+    word += tuple(range(1, n + 1))
     # bytes the first pass holds (a bitset: digits, int header, list slot):
     # 2n tree nodes, n masks, k + 1 layers, n + 1 snapshots, 2 word copies
     budget = (4 * n + k + 2) * ((1 << n) // 8 + 32) + 16 * L
@@ -191,22 +194,23 @@ def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
             else:
                 want = {L} if r == k else set()
                 if r > 1:
-                    want.update(L - table.next_after(pos, a) for a in free)
+                    ends = (word.index(a, pos) + 1 for a in free)
+                    want.update(L - p for p in ends if p <= L)
                 snaps, done = {}, 0
-                for q in sorted(want - {-1}):  # -1: a is not after pos
+                for q in sorted(want):
                     snaps[q] = _read(tree, without, cs[done:q])
                     done = q
         if r == k and not atmost[k] & ~snaps[L]:
             return None
         for a in free:
-            p = table.next_after(pos, a)
+            p = word.index(a, pos) + 1
             lack = without[labels[a]]
             if p > L or r > 1 and atmost[r - 1] & rest & lack & ~snaps[L - p]:
                 break
         witness.append(a)
         free.remove(a)
         rest &= lack
-        pos = p
+        pos = min(p, L)
     return Witness(tuple(witness), k)
 
 
@@ -371,7 +375,7 @@ def verify_supersequence_sampled(
     """Check the deterministic `extra` family, then `count` uniformly drawn
     permutations (Fisher-Yates shuffles from a seeded PRNG).
 
-    Every `extra` member must have length m and letters in 1..m.
+    Every `extra` row must be a permutation of 1..m.
     Bit-identical for identical (word, m, count, seed, extra): the
     permutations are drawn row by row from one stream, so the batch size
     changes neither them nor the witness nor ``permutations_checked``.
@@ -389,8 +393,8 @@ def verify_supersequence_sampled(
     if any(len(perm) != m for perm in extra):
         raise ValueError(f"every extra permutation must have length m={m}")
     family = np.array(extra, dtype=np.int64).reshape(len(extra), m)
-    if family.size and not (1 <= family.min() and family.max() <= m):
-        raise ValueError(f"extra permutations must use letters 1..{m}")
+    if (np.sort(family, axis=1) != np.arange(1, m + 1)).any():
+        raise ValueError(f"every extra row must be a permutation of 1..{m}")
     start = time.perf_counter()
     table = NextOccurrenceTable(word, m)
     rows = min(max(1, _CELL_BUDGET // m), max(count, len(extra)))

@@ -19,7 +19,6 @@ from skipseq.analyze import (
     ValidationError,
     best_level,
     constant_term,
-    length_model,
     radomirovic_length,
     rows_to_csv,
     rows_to_json,
@@ -121,8 +120,11 @@ class TestCoefficient:
 
 class TestLengthModel:
     def test_fields(self):
-        model = length_model(4, 25)
-        assert (model.t, model.predicted, model.concat_length) == (2, 573, 548)
+        assert (
+            skip_cycle_count(4, 25),
+            predicted_length(4, 25),
+            concat_length(4, 25),
+        ) == (2, 573, 548)
 
     def test_t_nonnegative_integer(self):
         for s, n in valid_pairs():

@@ -48,8 +48,6 @@ class TestValidate:
     def test_congruence_rejection_reports_neighbors(self):
         result = validate(3, 17)
         assert not result.ok
-        assert result.nearest_below == 13
-        assert result.nearest_above == 18
 
     def test_t2_n6_erratum(self):
         result = validate(2, 6)
@@ -65,43 +63,12 @@ class TestValidate:
         "s, n, above", [(1, -14, 4), (2, -100, 9), (3, -30, 13)]
     )
     def test_far_below_range_reports_least_valid(self, s, n, above):
+        # the reason names the size bound, whose least valid n is `above`
         result = validate(s, n)
         assert not result.ok
-        assert result.nearest_below is None
-        assert result.nearest_above == above
-
-
-    @pytest.mark.parametrize("s", range(1, 7))
-    def test_neighbours_match_scan(self, s):
-        # the closed form against a scan of every candidate
-        for n in range(-20, 201):
-            result = validate(s, n)
-            if result.ok:
-                continue
-            below = next(
-                (v for v in range(n - 1, 0, -1) if validate(s, v).ok), None
-            )
-            above = next(
-                v for v in itertools.count(max(n, 0) + 1) if validate(s, v).ok
-            )
-            assert (result.nearest_below, result.nearest_above) == (
-                below,
-                above,
-            ), (s, n)
-
-    def test_neighbours_at_large_level(self):
-        result = validate(10**9, 5)
-        assert result.nearest_below is None
-        assert result.nearest_above == 4_000_000_001
-        result = validate(10**6, 10**6)
-        assert result.nearest_below is None
-        assert result.nearest_above == 4_000_001
-        # far inside the range the neighbours are one period 2s - 1 apart
-        result = validate(10**6, 10**12)
-        below, above = result.nearest_below, result.nearest_above
-        assert below < 10**12 < above
-        assert above - below == 1_999_999
-        assert validate(10**6, below).ok and validate(10**6, above).ok
+        bound = f"> {above - 1}" if s == 1 else f">= {above}"
+        assert f"n={n} must be {bound}" in result.reason
+        assert validate(s, above).ok
 
 
 class TestValidLevels:
@@ -262,14 +229,14 @@ class TestSupersequence:
 
 class TestConstructForM:
     def test_exact_25(self):
-        assert construct_for_m(25, "exact").length == 573
+        assert construct_for_m(25, "best_valid").length == 573
 
     def test_t1_fallback(self):
         assert construct_for_m(7, "t1_fallback").length == 39
         assert construct_for_m(5, "t1_fallback").length == 19
 
     def test_exact_unavailable(self):
-        with pytest.raises(ValidationError, match="no exact construction"):
+        with pytest.raises(ValidationError, match="unknown strategy 'exact'"):
             construct_for_m(5, "exact")
 
     def test_best_valid_falls_back(self):
@@ -290,7 +257,16 @@ class TestConstructForM:
             assert sseq.word == tuple(a for a in full.word if a <= m), m
             assert sseq.m == m
             if n == m - 1:
-                assert sseq == construct_for_m(m, "exact")
+                assert sseq == construct_for_m(m, "best_valid")
+
+    def test_restrict_never_beats_best_valid(self):
+        # restrict builds at a larger n' whenever no level s >= 2 is valid
+        # at n = m - 1, and its restriction is then strictly longer
+        for m in range(5, 201):
+            restricted = construct_for_m(m, "restrict").length
+            best = construct_for_m(m, "best_valid").length
+            assert restricted >= best, m
+            assert (restricted == best) == bool(valid_levels(m - 1)), m
 
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"

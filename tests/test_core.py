@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import golden
 from skipseq.core import (
     NextOccurrenceTable,
     SliceRangeError,
@@ -80,9 +81,10 @@ class TestIsSubsequence:
 class TestNextOccurrenceTable:
     def test_small_word(self):
         t = NextOccurrenceTable((1, 2, 1), 2)
-        assert t.next_after(0, 1) == 1
-        assert t.next_after(1, 1) == 3
-        assert t.next_after(2, 2) == t.absent
+        arr = t.as_array()
+        assert arr[0, 1] == 1
+        assert arr[1, 1] == 3
+        assert arr[2, 2] == t.absent == 4
 
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
@@ -94,9 +96,10 @@ class TestNextOccurrenceTable:
             m = rng.randint(1, 6)
             word = tuple(rng.randint(1, m) for _ in range(rng.randint(0, 25)))
             t = NextOccurrenceTable(word, m)
+            arr = t.as_array()
             for p in range(len(word) + 1):
                 for a in range(1, m + 1):
-                    q = t.next_after(p, a)
+                    q = arr[p, a]
                     if q == t.absent:
                         assert a not in word[p:]
                     else:
@@ -105,9 +108,8 @@ class TestNextOccurrenceTable:
                         assert a not in word[p : q - 1]
 
     def test_as_array_matches_rows(self):
-        # the array and next_after's scan of the word are independent;
-        # they must agree in every cell, including the sentinel row and
-        # column 0
+        # the array must agree with a naive scan of the word in every
+        # cell, including the sentinel row and column 0
         rng = random.Random(13)
         words = [((), 3)]
         for _ in range(60):
@@ -124,11 +126,11 @@ class TestNextOccurrenceTable:
             assert (arr[:, 0] == t.absent).all()
             for p in range(len(word) + 2):
                 for a in range(1, m + 1):
-                    assert arr[p, a] == t.next_after(p, a)
+                    assert arr[p, a] == golden.next_after(word, p, a)
 
     def test_as_blocks_lookup_matches_next_after(self):
         # the segmented lookup, read through the rule in as_blocks'
-        # docstring, must equal the scan at every position 0..L+1 and
+        # docstring, must equal a naive scan at every position 0..L+1 and
         # letter, on repeated letters, absent letters, one letter repeated
         # and the empty word
         rng = random.Random(19)
@@ -149,7 +151,7 @@ class TestNextOccurrenceTable:
                 for a in range(1, m + 1):
                     near = first[b, a]
                     got = near if near > g else first[b + 1, a]
-                    assert got == t.next_after(g, a), (word, g, a)
+                    assert got == golden.next_after(word, g, a), (word, g, a)
 
     def test_as_blocks_are_maximal_runs_of_distinct_letters(self):
         t = NextOccurrenceTable((1, 2, 1, 3, 2, 2, 4), 4)

@@ -141,8 +141,9 @@ class TestIsKComplete:
 
         monkeypatch.setattr(verify, "_read", recorded)
         rng = random.Random(23)
-        # after 1 at position 3 the walk finds 3 only behind it
-        cases = [((2, 3, 1) + (1, 2) * 30, 3)]
+        # after 1 at position 3 the walk finds 3 only behind it; 2 first
+        # occurs as the last letter, so the walk reads C_0 after it
+        cases = [((2, 3, 1) + (1, 2) * 30, 3), ((1,) * 22 + (2,), 2)]
         for _ in range(400):
             n = rng.randint(1, 7)
             letters = range(1, n + 1)
@@ -498,10 +499,12 @@ class TestSampled:
 
     @pytest.mark.parametrize(
         "extra",
-        [[(1, 2)], [(1, 2, 3), (1, 2)], [(1, 2, 4)], [(0, 1, 2)]],
-        ids=["short", "short-later", "letter-above-m", "letter-0"],
+        [[(1, 2)], [(1, 2, 3), (1, 2)], [(1, 2, 4)], [(0, 1, 2)], [(1, 1, 2)]],
+        ids=["short", "short-later", "letter-above-m", "letter-0",
+             "repeated-letter"],
     )
     def test_malformed_extra_rejected(self, extra):
+        # repeated-letter: (1, 1, 2) fits in the word but is no permutation
         with pytest.raises(ValueError, match="extra"):
             verify_supersequence_sampled(golden.INTRO_WORD_3, 3, 10, 1, extra)
 
@@ -603,7 +606,9 @@ class TestSampled:
             matcher = verify._Matcher(table, len(g), dense)
             pos = (g * matcher.scale).astype(matcher.pos.dtype)
             matcher.advance(pos, a[:, None])
-            expected = [table.next_after(int(p), int(c)) for p, c in zip(g, a)]
+            expected = [
+                golden.next_after(word, int(p), int(c)) for p, c in zip(g, a)
+            ]
             assert (pos // matcher.scale).tolist() == expected, word
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
