@@ -249,7 +249,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE if exc.code else PASS
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

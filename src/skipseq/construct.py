@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import pslice
 
 __all__ = [
     "ValidationError",
-    "ValidationResult",
     "GeneratedList",
     "Supersequence",
     "validate",
@@ -49,12 +47,6 @@ TAG_FINAL = "final"
 
 class ValidationError(ValueError):
     """Construction parameters violate a size or congruence constraint."""
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -111,28 +103,28 @@ def _is_valid(s: int, n: int) -> bool:
     return n >= 4 * s + 1 and (n - 3) % (2 * s - 1) == 0
 
 
-def validate(s: int, n: int) -> ValidationResult:
-    """Check the size/congruence constraints for level s at alphabet size n."""
+def validate(s: int, n: int) -> None:
+    """None if level s meets its size/congruence constraints at alphabet
+    size n; otherwise raise ValidationError naming the violated bound."""
     if s < 1:
-        return ValidationResult(False, f"level s={s} must be >= 1")
-    if _is_valid(s, n):
-        return ValidationResult(True)
-    if s == 1:
+        reason = f"level s={s} must be >= 1"
+    elif _is_valid(s, n):
+        return
+    elif s == 1:
         reason = f"n={n} must be > 3 at level 1"
+    elif s == 2 and n == 6:
+        reason = (
+            "n=6 is unsupported at level 2: the defining clauses "
+            "produce a repeated letter in sigma_4 (erratum)"
+        )
     elif s == 2:
-        if n == 6:
-            reason = (
-                "n=6 is unsupported at level 2: the defining clauses "
-                "produce a repeated letter in sigma_4 (erratum)"
-            )
-        else:
-            reason = f"n={n} must be >= 9 and divisible by 3 at level 2"
+        reason = f"n={n} must be >= 9 and divisible by 3 at level 2"
     else:
         reason = (
             f"n={n} must be >= {4 * s + 1} and = 3 (mod {2 * s - 1}) "
             f"at level {s}"
         )
-    return ValidationResult(False, reason)
+    raise ValidationError(reason)
 
 
 def valid_levels(n: int) -> list[int]:
@@ -148,12 +140,6 @@ def valid_levels(n: int) -> list[int]:
             divisors.update((d, k // d))
     levels = ((d + 1) // 2 for d in divisors if d % 2 and d >= 3)
     return sorted(s for s in levels if _is_valid(s, n))
-
-
-def _require_valid(s: int, n: int) -> None:
-    result = validate(s, n)
-    if not result.ok:
-        raise ValidationError(result.reason)
 
 
 def skip_letters(s: int, n: int) -> tuple[int, ...]:
@@ -181,7 +167,7 @@ def _t1_head(n: int, count: int) -> tuple[list[tuple[int, ...]], list[str]]:
 
 def gen_t1(n: int) -> GeneratedList:
     """Level-1 list: sigma_k = sigma_{k-2}[-1] . sigma_{k-1}[1,-2]."""
-    _require_valid(1, n)
+    validate(1, n)
     seqs, tags = _t1_head(n, n - 1)
     prev2, prev = seqs[n - 3], seqs[n - 2]
     seqs.append((prev2[-1],) + pslice(prev, 1, -1))
@@ -191,7 +177,7 @@ def gen_t1(n: int) -> GeneratedList:
 
 def gen_t2(n: int) -> GeneratedList:
     """Level-2 list: one extra letter n skipped where k = 2 (mod 3)."""
-    _require_valid(2, n)
+    validate(2, n)
     seqs, _ = _t1_head(n, 3)
     tags = [TAG_INITIAL] * 3
     for k in range(4, n - 2):
@@ -231,7 +217,7 @@ def gen_ts(s: int, n: int) -> GeneratedList:
     skip / recover / forward blocks of 2s-1 sequences."""
     if s < 3:
         raise ValidationError(f"gen_ts requires s >= 3, got s={s}")
-    _require_valid(s, n)
+    validate(s, n)
     cyc = 2 * s - 1
     fwd = pslice  # alias keeps the clauses below one line each
     ph = skip_letters(s, n)
@@ -292,8 +278,7 @@ def gen_ts(s: int, n: int) -> GeneratedList:
 
 def generate(s: int, n: int) -> GeneratedList:
     """Dispatch to the level-appropriate generator."""
-    if s < 1:
-        raise ValidationError(validate(s, n).reason)
+    validate(s, n)
     if s == 1:
         return gen_t1(n)
     if s == 2:

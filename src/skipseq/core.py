@@ -17,6 +17,7 @@ __all__ = [
     "resolve_index",
     "pslice",
     "is_subsequence",
+    "checked_word",
     "NextOccurrenceTable",
 ]
 
@@ -58,6 +59,16 @@ def is_subsequence(candidate: Iterable[int], word: Seq[int]) -> bool:
     return all(c in it for c in candidate)
 
 
+def checked_word(word: Iterable[int], m: int) -> tuple[int, ...]:
+    """word as a tuple, or ValueError naming its first letter outside 1..m:
+    the letter check of the table and of every verifier."""
+    word = tuple(word)
+    for a in word:
+        if not 1 <= a <= m:
+            raise ValueError(f"letter {a} outside alphabet 1..{m}")
+    return word
+
+
 class NextOccurrenceTable:
     """For each position 0..L and letter 1..m, the smallest 1-based index
     greater than the position holding that letter.
@@ -74,13 +85,9 @@ class NextOccurrenceTable:
     """
 
     def __init__(self, word: Seq[int], m: int):
-        word = tuple(word)
-        for a in word:
-            if not 1 <= a <= m:
-                raise ValueError(f"letter {a} outside alphabet 1..{m}")
-        self.word = word
+        self.word = checked_word(word, m)
         self.m = m
-        self.absent = len(word) + 1
+        self.absent = len(self.word) + 1
 
     def as_array(self) -> np.ndarray:
         """(L+2, m+1) int32 array of the table, for vectorized matching.

@@ -22,7 +22,7 @@ from typing import Optional, Sequence as Seq
 
 import numpy as np
 
-from .core import NextOccurrenceTable
+from .core import NextOccurrenceTable, checked_word
 from .construct import (
     GeneratedList,
     TAG_SKIP,
@@ -166,7 +166,7 @@ def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    word = NextOccurrenceTable(word, n).word  # the table checks the letters
+    word = checked_word(word, n)
     L = len(word)
     rev = word[::-1]
     # one copy of every letter past the end: index finds any letter, at
@@ -232,7 +232,7 @@ def _first_incomplete(
     forward = direction == "forward"
     chosen = sequences[:c] if forward else sequences[count - c :][::-1]
     nearest = [seq if forward else seq[::-1] for seq in chosen]
-    word = NextOccurrenceTable((a for seq in nearest for a in seq), n).word
+    word = checked_word((a for seq in nearest for a in seq), n)
     without, atmost, tree = _universe(n, c)
     end = 0
     for k, seq in enumerate(nearest, 1):
@@ -380,13 +380,16 @@ def verify_supersequence_sampled(
     permutations are drawn row by row from one stream, so the batch size
     changes neither them nor the witness nor ``permutations_checked``.
 
-    Memory is bounded by `_CELL_BUDGET`: permutations are matched in
-    batches of budget // m rows, refilled in one buffer, and the dense
-    table is built only when its (L+2)·(m+1) cells fit the budget; a
-    longer word is matched on the segmented table.
+    Memory is bounded by `_CELL_BUDGET`, 2**21 cells, which m may not
+    exceed: permutations are matched in batches of budget // m rows,
+    refilled in one buffer, and the dense table is built only when its
+    (L+2)·(m+1) cells fit the budget; a longer word is matched on the
+    segmented table.
     """
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
+    if m > _CELL_BUDGET:
+        raise ValueError(f"m={m} exceeds the sampled ceiling {_CELL_BUDGET}")
     if count < 1:
         raise ValueError("count must be >= 1")
     extra = list(extra)
@@ -440,15 +443,11 @@ def trace_m_sets(
     The trace stops when a set empties, when rho leaves the M chain (two
     consecutive elements land in one sigma), or at sigma_1.
     """
-    n, s = glist.n, glist.s
-    if glist.tag(k) != TAG_SKIP:
-        raise ValueError(f"k={k} is not a skip-sequence index")
+    _check_chain_end(glist, k, rho[-1] if rho else None)
     if len(rho) != k:
         raise ValueError(f"rho has length {len(rho)}, expected k={k}")
-    if len(set(rho)) != len(rho) or not all(1 <= a <= n for a in rho):
+    if len(set(rho)) != len(rho) or not all(1 <= a <= glist.n for a in rho):
         raise ValueError("rho must have distinct letters from 1..n")
-    if rho[k - 1] not in skip_letters(s, n):
-        raise ValueError(f"rho[{k}]={rho[k - 1]} is not a skip letter")
     pos = _positions(glist)
     steps: list[tuple[int, frozenset[int]]] = []
     removed: set[int] = set()
@@ -502,9 +501,18 @@ def skip_chain_rho(
     sigma_{idx-1} and is not removed, so a's set strictly contains b's.
     Once the chain dies the front is padded with unused letters ascending.
     """
+    _check_chain_end(glist, k, last)
+    return _skip_chain(glist, _positions(glist), k, last)
+
+
+def _check_chain_end(
+    glist: GeneratedList, k: int, last: Optional[int]
+) -> None:
+    """Reject k unless a skip index, and `last` unless a skip letter."""
     if glist.tag(k) != TAG_SKIP:
         raise ValueError(f"k={k} is not a skip-sequence index")
-    return _skip_chain(glist, _positions(glist), k, last)
+    if last not in skip_letters(glist.s, glist.n):
+        raise ValueError(f"rho[{k}]={last} is not a skip letter")
 
 
 def _skip_chain(

@@ -205,6 +205,15 @@ class TestVerify:
         assert out == ""
         assert f"alphabet size m={m} must be at least 1" in err
 
+    def test_sampled_alphabet_above_ceiling_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--word", "1,2", "--m", "1000000000",
+            "--sampled", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "m=1000000000 exceeds the sampled ceiling 2097152" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
             capsys, "generate", "--s", "2", "--n", "9", "--format", "json"

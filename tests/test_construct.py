@@ -28,7 +28,6 @@ from skipseq.construct import (
     valid_levels,
 )
 from skipseq.verify import quasi_palindrome, verify_supersequence_exhaustive
-from test_verify import _child_report
 
 ALL_VALID = (
     [(1, n) for n in range(4, 12)]
@@ -41,40 +40,51 @@ ALL_VALID = (
 
 class TestValidate:
     def test_paper_parameters_accepted(self):
-        assert validate(3, 18).ok
-        assert validate(4, 24).ok
-        assert validate(2, 12).ok
+        assert validate(3, 18) is None
+        assert validate(4, 24) is None
+        assert validate(2, 12) is None
 
-    def test_congruence_rejection_reports_neighbors(self):
-        result = validate(3, 17)
-        assert not result.ok
+    def test_congruence_rejection_names_the_bound(self):
+        with pytest.raises(ValidationError, match=r"= 3 \(mod 5\) at level 3"):
+            validate(3, 17)
 
     def test_t2_n6_erratum(self):
-        result = validate(2, 6)
-        assert not result.ok
-        assert "erratum" in result.reason
+        with pytest.raises(ValidationError, match="erratum"):
+            validate(2, 6)
 
     def test_minimum_sizes(self):
-        assert not validate(1, 3).ok
-        assert not validate(3, 12).ok
-        assert not validate(5, 20).ok
+        for s, n, reason in [
+            (1, 3, "n=3 must be > 3 at level 1"),
+            (2, 3, "n=3 must be >= 9 and divisible by 3 at level 2"),
+            (3, 12, r"n=12 must be >= 13 and = 3 \(mod 5\) at level 3"),
+            (5, 20, r"n=20 must be >= 21 and = 3 \(mod 9\) at level 5"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{reason}$"):
+                validate(s, n)
 
     @pytest.mark.parametrize(
         "s, n, above", [(1, -14, 4), (2, -100, 9), (3, -30, 13)]
     )
     def test_far_below_range_reports_least_valid(self, s, n, above):
         # the reason names the size bound, whose least valid n is `above`
-        result = validate(s, n)
-        assert not result.ok
         bound = f"> {above - 1}" if s == 1 else f">= {above}"
-        assert f"n={n} must be {bound}" in result.reason
-        assert validate(s, above).ok
+        with pytest.raises(ValidationError, match=f"n={n} must be {bound}"):
+            validate(s, n)
+        assert validate(s, above) is None
+
+
+def _valid(s, n):
+    try:
+        validate(s, n)
+    except ValidationError:
+        return False
+    return True
 
 
 class TestValidLevels:
     def test_matches_validate(self):
         for n in range(0, 201):
-            expected = [s for s in range(2, n + 1) if validate(s, n).ok]
+            expected = [s for s in range(2, n + 1) if _valid(s, n)]
             assert valid_levels(n) == expected, n
 
 
@@ -271,9 +281,9 @@ class TestConstructForM:
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
-    def test_held_words_peak_rss(self):
+    def test_held_words_peak_rss(self, child_report):
         # a held word keeps only its letters, not the list it was built from
-        out = _child_report(
+        out = child_report(
             "from skipseq.construct import construct_for_m\n"
             "words = [construct_for_m(m, 'restrict') for m in range(5, 301)]\n"
         )

@@ -74,20 +74,29 @@ def naive_supersequence_check(word, m):
     return naive_least_missing(word, m, m) is None
 
 
-def _child_report(body):
-    """Run body in a fresh interpreter on this checkout's sources and
-    return the "key value" lines it prints, with its VmHWM in KiB (the
-    peak RSS of its own image) under "hwm"."""
-    code = body + (
-        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
-        "print('hwm', hwm[0].split()[1])\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    return dict(line.split(" ", 1) for line in result.stdout.splitlines())
+@pytest.mark.parametrize("bad", [0, 5])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda w: is_k_complete(w, 3, 2),
+        lambda w: forward_complete([w[:2], w[2:]], 3),
+        lambda w: backward_complete([w[:2], w[2:]], 3),
+        lambda w: strongly_complete([w[:2], w[2:]], 3),
+        lambda w: verify_supersequence_exhaustive(w, 3),
+        lambda w: verify_supersequence_sampled(w, 3, 10, seed=1),
+    ],
+    ids=[
+        "is_k_complete",
+        "forward_complete",
+        "backward_complete",
+        "strongly_complete",
+        "exhaustive",
+        "sampled",
+    ],
+)
+def test_letter_outside_alphabet_rejected(check, bad):
+    with pytest.raises(ValueError, match=f"letter {bad} outside alphabet 1..3"):
+        check((1, 2, bad, 3, 1))
 
 
 class TestIsKComplete:
@@ -452,6 +461,12 @@ class TestExhaustive:
 
 
 class TestSampled:
+    def test_alphabet_above_cell_budget_rejected(self):
+        # one permutation row holds m cells, so no batch fits the budget
+        for m in ((1 << 21) + 1, 1 << 22):
+            with pytest.raises(ValueError, match="exceeds the sampled ceiling"):
+                verify_supersequence_sampled((1, 2), m, 1, 0)
+
     def test_pass_on_built_word(self):
         word = build_supersequence(gen_ts(3, 13)).word
         report = verify_supersequence_sampled(word, 14, 5000, seed=1)
@@ -657,11 +672,11 @@ class TestSampled:
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
-    def test_m299_segmented_peak_rss(self):
+    def test_m299_segmented_peak_rss(self, child_report):
         # At m = 299 the dense table does not fit the cell budget, so the
         # CLI matches on the segmented table (about 1 MiB) in batches of
         # budget // m rows.
-        out = _child_report(
+        out = child_report(
             "import contextlib, io\n"
             "from skipseq import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -676,10 +691,10 @@ class TestSampled:
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
-    def test_m1000_sampled_time_and_peak_rss(self):
+    def test_m1000_sampled_time_and_peak_rss(self, child_report):
         # the m = 1000 word (L = 997 553), whose dense table would take
         # about 4 GB
-        out = _child_report(
+        out = child_report(
             "import time\n"
             "from skipseq import build_supersequence, generate\n"
             "from skipseq import verify_supersequence_sampled\n"
@@ -697,10 +712,10 @@ class TestSampled:
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
-    def test_m1000_cli_sampled_time_and_peak_rss(self):
+    def test_m1000_cli_sampled_time_and_peak_rss(self, child_report):
         # the CLI run also builds the adversarial family of generate(42, 999):
         # 451 skip chains, each walking up to 999 sequences
-        out = _child_report(
+        out = child_report(
             "import contextlib, io, time\n"
             "from skipseq import cli\n"
             "start = time.perf_counter()\n"
@@ -810,6 +825,13 @@ class TestTraceMSets:
             trace_m_sets(glist, tuple(range(1, 12)), 11)
         with pytest.raises(ValueError, match="skip letter"):
             trace_m_sets(glist, tuple(range(1, 13)), 12)
+        # the chain must end in a skip letter, 17 or 18 here
+        for last in (-1, 0, 5, 40):
+            message = f"rho\\[12\\]={last} is not a skip letter"
+            with pytest.raises(ValueError, match=message):
+                skip_chain_rho(glist, 12, last)
+            with pytest.raises(ValueError, match=message):
+                trace_m_sets(glist, tuple(range(1, 12)) + (last,), 12)
 
 
 class TestOracle:
