@@ -8,7 +8,8 @@ for all prefix or suffix depths); the shortest-length oracle searches
 breadth-first over the states of the same pass; sampled checks match
 seeded random permutations in fixed-size batches against the dense or,
 for long words, the segmented next-occurrence table, so their memory is
-bounded by one cell budget whatever the word's length; and the
+bounded by one cell budget whatever the word's length, and draw each
+batch on a worker thread while the one before it is matched; and the
 quasi-palindrome bijection is reconstructed position by position from
 the concatenation.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence as Seq
 
@@ -54,9 +56,14 @@ __all__ = [
 # further letter, so m = 26 would pass 1 GiB.
 EXHAUSTIVE_LIMIT = 25
 
-# Cells that one batch of sampled permutations (int64, 16 MiB) or the
-# dense next-occurrence table (int32, 8 MiB) may hold.
+# Cells that the two batch buffers of sampled permutations together
+# (int64, 8 MiB each) or the dense next-occurrence table (int32, 8 MiB)
+# may hold.
 _CELL_BUDGET = 1 << 21
+
+# Columns matched between two checks of whether a batch's first row has
+# already failed.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -357,10 +364,17 @@ class _Matcher:
             np.copyto(pos, near, where=mask)
 
     def first_failure(self, perms: np.ndarray) -> int:
-        """Index of the first row of perms the word does not contain, or -1."""
+        """Index of the first row of perms the word does not contain, or -1.
+
+        Columns are matched `_CHUNK` at a time, and the walk stops as soon
+        as row 0 has failed, since it is then the first failing row: a long
+        permutation that fails early costs one chunk, not m columns."""
         pos = self.pos[: len(perms)]
         pos.fill(0)
-        self.advance(pos, perms)
+        for lo in range(0, perms.shape[1], _CHUNK):
+            self.advance(pos, perms[:, lo : lo + _CHUNK])
+            if pos[0] >= self.limit:
+                return 0
         bad = np.flatnonzero(pos >= self.limit)
         return int(bad[0]) if len(bad) else -1
 
@@ -381,10 +395,13 @@ def verify_supersequence_sampled(
     changes neither them nor the witness nor ``permutations_checked``.
 
     Memory is bounded by `_CELL_BUDGET`, 2**21 cells, which m may not
-    exceed: permutations are matched in batches of budget // m rows,
-    refilled in one buffer, and the dense table is built only when its
+    exceed: permutations are matched in batches of budget // (2m) rows
+    (one row above m = 2**20, at most 2m cells in all), drawn alternately
+    into two buffers, and the dense table is built only when its
     (L+2)·(m+1) cells fit the budget; a longer word is matched on the
-    segmented table.
+    segmented table. One worker thread draws every batch, in order, while
+    the caller matches the one before it (the first while `extra` is
+    matched); it is joined before the call returns.
     """
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
@@ -398,32 +415,49 @@ def verify_supersequence_sampled(
     family = np.array(extra, dtype=np.int64).reshape(len(extra), m)
     if (np.sort(family, axis=1) != np.arange(1, m + 1)).any():
         raise ValueError(f"every extra row must be a permutation of 1..{m}")
+    # imported here: logging, which it loads, would add about 5 ms to
+    # every import of skipseq
+    from concurrent.futures import ThreadPoolExecutor
+
     start = time.perf_counter()
     table = NextOccurrenceTable(word, m)
-    rows = min(max(1, _CELL_BUDGET // m), max(count, len(extra)))
+    rows = min(max(1, _CELL_BUDGET // (2 * m)), max(count, len(extra)))
     dense = (len(table.word) + 2) * (m + 1) <= _CELL_BUDGET
     matcher = _Matcher(table, rows, dense)
     rng = np.random.default_rng(seed)
     base = np.arange(1, m + 1, dtype=np.int64)
-    perms = np.empty((min(rows, count), m), dtype=np.int64)
+    buffers = np.empty((2, min(rows, count), m), dtype=np.int64)
 
-    def batches():
-        for lo in range(0, len(extra), rows):
-            yield family[lo : lo + rows]
-        for lo in range(0, count, rows):
-            batch = perms[: min(rows, count - lo)]
-            batch[:] = base
-            rng.permuted(batch, axis=1, out=batch)
-            yield batch
+    def draw(lo):
+        # the batch from stream index lo, into the buffer of the batch two
+        # before it, which the caller has matched
+        batch = buffers[lo // rows % 2, : min(rows, count - lo)]
+        batch[:] = base
+        rng.permuted(batch, axis=1, out=batch)
+        return batch
+
+    def batches(pool):
+        pending = pool.submit(draw, 0)
+        try:
+            for lo in range(0, len(extra), rows):
+                yield family[lo : lo + rows]
+            for lo in range(rows, count + rows, rows):
+                batch = pending.result()
+                if lo < count:
+                    pending = pool.submit(draw, lo)
+                yield batch
+        finally:
+            pending.result()  # a draw left over by a failure still raises
 
     checked, witness = 0, None
-    for batch in batches():
-        bad = matcher.first_failure(batch)
-        if bad >= 0:
-            checked += bad + 1
-            witness = Witness(tuple(int(x) for x in batch[bad]), m)
-            break
-        checked += len(batch)
+    with ThreadPoolExecutor(1) as pool, closing(batches(pool)) as stream:
+        for batch in stream:
+            bad = matcher.first_failure(batch)
+            if bad >= 0:
+                checked += bad + 1
+                witness = Witness(tuple(int(x) for x in batch[bad]), m)
+                break
+            checked += len(batch)
     stats = {
         "permutations_checked": checked,
         "elapsed_s": time.perf_counter() - start,

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -46,6 +47,15 @@ M25_SEED11_LAST_OF_BATCH = (
 M25_SEED11_FIRST_OF_NEXT = (
     10, 13, 3, 2, 24, 7, 14, 5, 4, 20, 23, 17, 15, 9, 21, 8, 16, 11, 25, 18,
     19, 1, 6, 22, 12,
+)
+# ... and at 0-based indices 41 942 and 41 943
+M25_SEED11_LAST_OF_HALF = (
+    10, 1, 21, 3, 24, 7, 9, 18, 14, 22, 11, 6, 23, 17, 19, 4, 20, 8, 13, 2,
+    15, 16, 25, 12, 5,
+)
+M25_SEED11_FIRST_OF_NEXT_HALF = (
+    3, 16, 24, 4, 9, 22, 6, 15, 2, 14, 5, 18, 10, 17, 19, 8, 25, 23, 20, 12,
+    7, 11, 21, 13, 1,
 )
 
 # the witness of the 573-letter word over 25 letters with its letter at
@@ -574,20 +584,32 @@ class TestSampled:
             (M25_SEED11_FIRST_OF_NEXT, 83_885, 83_885, False),
             (M25_SEED11_FIRST_OF_NEXT, 83_886, 83_886, False),
             (M25_SEED11_FIRST_OF_NEXT, 83_887, 83_887, True),
+            (M25_SEED11_LAST_OF_HALF, 41_942, 41_942, False),
+            (M25_SEED11_LAST_OF_HALF, 41_943, 41_943, True),
+            (M25_SEED11_LAST_OF_HALF, 41_944, 41_943, True),
+            (M25_SEED11_FIRST_OF_NEXT_HALF, 41_942, 41_942, False),
+            (M25_SEED11_FIRST_OF_NEXT_HALF, 41_943, 41_943, False),
+            (M25_SEED11_FIRST_OF_NEXT_HALF, 41_944, 41_944, True),
         ],
         ids=["last-rows-1", "last-rows", "last-rows+1",
-             "next-rows-1", "next-rows", "next-rows+1"],
+             "next-rows-1", "next-rows", "next-rows+1",
+             "last-half-1", "last-half", "last-half+1",
+             "next-half-1", "next-half", "next-half+1"],
     )
     def test_batch_boundary_replays_pinned_values(
         self, perm, count, checked, fails
     ):
         # The reversal of a permutation repeated m - 1 times contains every
         # other permutation, so the word fails exactly at that permutation
-        # of the seeded stream. The two are the last of the first batch
-        # and the first of the second, and count runs over rows - 1, rows
-        # and rows + 1; the values were recorded from the implementation
-        # that drew 100 000-row batches with np.tile.
-        assert verify._CELL_BUDGET // 25 == 83_886
+        # of the seeded stream. Batches hold budget // 2m = 41 943 rows at
+        # m = 25: the "half" permutations are the last of the first batch
+        # and the first of the second, the others the last of the second
+        # and the first of the third, which reuses the first buffer; count
+        # runs over one less, equal and one more. The first six values
+        # were recorded from the implementation that drew 100 000-row
+        # batches with np.tile, the last six from one that drew 83 886-row
+        # batches into one buffer.
+        assert verify._CELL_BUDGET // 50 == 41_943
         word = tuple(reversed(perm)) * 24
         report = verify_supersequence_sampled(word, 25, count, seed=11)
         assert report.stats["permutations_checked"] == checked
@@ -596,7 +618,7 @@ class TestSampled:
             assert report.witness.permutation == perm
 
     def test_pass_counts_every_batch(self):
-        # three batches of 83 886, 83 886 and 1 rows at m = 25
+        # five batches at m = 25: four of 41 943 rows and one of 1
         word = build_supersequence(gen_ts(4, 24)).word
         report = verify_supersequence_sampled(word, 25, 167_773, seed=11)
         assert report.passed
@@ -645,6 +667,186 @@ class TestSampled:
             # a shorter batch reuses the same buffers
             assert matcher.first_failure(batch[:1]) == (0 if expected == 0 else -1)
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
+    def test_matcher_first_failure_past_a_chunk(self, dense):
+        # m > 64, so a batch is matched in several chunks of columns. The
+        # word starts with a base permutation, sometimes with one letter
+        # cut; row 0 is the base and the other rows are the base, the base
+        # with two letters swapped (often both past column 62) or fresh
+        # draws.
+        rng = random.Random(31)
+        late = 0
+        for _ in range(60):
+            m = rng.randint(65, 200)
+            base = rng.sample(range(1, m + 1), m)
+            word = tuple(base)
+            if rng.random() < 0.3:
+                cut = rng.randrange(m)
+                word = word[:cut] + word[cut + 1 :]
+            word += tuple(rng.randint(1, m) for _ in range(rng.randint(0, m)))
+            perms = [tuple(base)]
+            for _ in range(rng.randint(0, 11)):
+                perm = base[:]
+                if rng.random() < 0.1:
+                    perm = rng.sample(range(1, m + 1), m)
+                elif rng.random() < 0.8:
+                    # from column 63 on, the first 64 letters still match
+                    i = rng.randrange(m - 1) if rng.random() < 0.3 else (
+                        rng.randrange(63, m - 1))
+                    j = rng.randrange(i + 1, m)
+                    perm[i], perm[j] = perm[j], perm[i]
+                perms.append(tuple(perm))
+            expected = next(
+                (i for i, p in enumerate(perms) if not is_subsequence(p, word)),
+                -1,
+            )
+            if expected > 0:
+                it = iter(word)
+                late += sum(c in it for c in perms[expected]) >= 64
+            table = verify.NextOccurrenceTable(word, m)
+            matcher = verify._Matcher(table, 12, dense)
+            batch = np.array(perms, dtype=np.int64)
+            assert matcher.first_failure(batch) == expected, (word, perms)
+        # row 0 passes and a later row fails past the first chunk
+        assert late >= 20
+
+    def test_long_permutation_failing_early_stops_at_first_chunk(self):
+        # the only row fails at its third letter; matching all 2**19
+        # columns would take about 2.4 s
+        start = time.perf_counter()
+        report = verify_supersequence_sampled((1, 2), 1 << 19, 1, 0)
+        assert time.perf_counter() - start < 1.0
+        assert report.verdict == "fail"
+        assert report.stats["permutations_checked"] == 1
+        perm = report.witness.permutation
+        digest = hashlib.sha256(repr(perm).encode()).hexdigest()[:16]
+        assert digest == "ad5f2e94f6f64d93"
+
+    @pytest.mark.parametrize(
+        "budget", [28, 56, 196, verify._CELL_BUDGET],
+        ids=["1-row", "2-rows", "7-rows", "default"],
+    )
+    def test_batch_size_changes_nothing(self, budget, monkeypatch):
+        # A draw into the buffer still being matched, or out of stream
+        # order, would change some triple at some batch size. The damaged
+        # words fail in the family (at its second row) and at random
+        # permutation 591; the budgets give m = 14 batches of 1, 2, 7 and
+        # all 3017 rows.
+        word = build_supersequence(gen_ts(3, 13)).word
+        words = [
+            word,
+            word[:65] + word[66:],
+            word[:43] + word[44:128] + word[129:],
+        ]
+        extra = adversarial_permutations(3, 13)
+
+        def triples():
+            for w in words:
+                for family in ((), extra):
+                    r = verify_supersequence_sampled(w, 14, 3000, 5, family)
+                    witness = r.witness and r.witness.permutation
+                    yield r.verdict, witness, r.stats["permutations_checked"]
+
+        expected = list(triples())
+        assert [t[2] for t in expected] == [3000, 3017, 3000, 2, 591, 608]
+        monkeypatch.setattr(verify, "_CELL_BUDGET", budget)
+        assert list(triples()) == expected
+
+    def test_concurrent_calls_replay(self, monkeypatch):
+        # eight callers, each with its own worker, switching threads every
+        # 10 µs, in 7-row batches: every triple equals its serial value
+        word = build_supersequence(gen_ts(3, 13)).word
+        damaged = word[:43] + word[44:128] + word[129:]
+        monkeypatch.setattr(verify, "_CELL_BUDGET", 196)
+
+        def triple(seed):
+            r = verify_supersequence_sampled(damaged, 14, 3000, seed)
+            witness = r.witness and r.witness.permutation
+            return r.verdict, witness, r.stats["permutations_checked"]
+
+        seeds = range(5, 13)
+        expected = {seed: triple(seed) for seed in seeds}
+        results = {}
+        threads = [
+            threading.Thread(target=lambda s=seed: results.update({s: triple(s)}))
+            for seed in seeds
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        word = build_supersequence(gen_ts(3, 13)).word
+        damaged = word[:43] + word[44:128] + word[129:]
+        extra = adversarial_permutations(3, 13)
+        before = threading.active_count()
+        assert verify_supersequence_sampled(word, 14, 100_000, 1).passed
+        assert threading.active_count() == before
+        # a failure in the family, while the first batch is being drawn
+        report = verify_supersequence_sampled(
+            word[:65] + word[66:], 14, 100_000, 1, extra
+        )
+        assert report.stats["permutations_checked"] == 2
+        assert threading.active_count() == before
+        # a failure in a random batch, while the next is being drawn
+        report = verify_supersequence_sampled(damaged, 14, 100_000, 5)
+        assert report.stats["permutations_checked"] == 591
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="extra"):
+            verify_supersequence_sampled(word, 14, 100_000, 1, [(1, 2)])
+        assert threading.active_count() == before
+
+        # An exception raised by a draw reaches the caller, also from the
+        # second batch, which the failure in the first leaves unmatched
+        # (two batches of budget // 28 rows).
+        default_rng = np.random.default_rng
+
+        class Broken:
+            def __init__(self, seed, fail_at):
+                self.rng, self.fail_at = default_rng(seed), fail_at
+                self.draws = 0
+
+            def permuted(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws == self.fail_at:
+                    raise RuntimeError(f"draw {self.draws} failed")
+                return self.rng.permuted(*args, **kwargs)
+
+        assert 591 < verify._CELL_BUDGET // 28 < 100_000
+        for fail_at, w in ((1, word), (2, damaged)):
+            monkeypatch.setattr(
+                verify.np.random, "default_rng",
+                lambda seed: Broken(seed, fail_at),
+            )
+            with pytest.raises(RuntimeError, match=f"draw {fail_at} failed"):
+                verify_supersequence_sampled(w, 14, 100_000, 5, extra)
+            assert threading.active_count() == before
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_m25_cli_peak_rss(self, child_report):
+        # the benchmark's proof-route run: two 8 MiB batch buffers, the
+        # 573-letter word's dense table and the adversarial family
+        out = child_report(
+            "import contextlib, io\n"
+            "from skipseq import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--s', '4', '--n', '24',"
+            " '--sampled', '--count', '1000000'])\n"
+            "print('code', code)\n"
+        )
+        assert out["code"] == "0"
+        assert int(out["hwm"]) < 64 * 1024
+
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
@@ -675,7 +877,7 @@ class TestSampled:
     def test_m299_segmented_peak_rss(self, child_report):
         # At m = 299 the dense table does not fit the cell budget, so the
         # CLI matches on the segmented table (about 1 MiB) in batches of
-        # budget // m rows.
+        # budget // 2m rows.
         out = child_report(
             "import contextlib, io\n"
             "from skipseq import cli\n"
