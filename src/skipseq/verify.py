@@ -409,6 +409,8 @@ def verify_supersequence_sampled(
         raise ValueError(f"m={m} exceeds the sampled ceiling {_CELL_BUDGET}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be non-negative")
     extra = list(extra)
     if any(len(perm) != m for perm in extra):
         raise ValueError(f"every extra permutation must have length m={m}")
@@ -474,10 +476,12 @@ def trace_m_sets(
 
     M_{k-1} = sigma_{k-1}[> rho[k]]; thereafter
     M_{k-i} = sigma_{k-i}[> rho[k-i+1]] \\ {rho[k], ..., rho[k-i+2]}.
-    The trace stops when a set empties, when rho leaves the M chain (two
-    consecutive elements land in one sigma), or at sigma_1.
+    The trace stops when rho[k-i+1] is not in sigma_{k-i}, when a set
+    empties, when rho leaves the M chain (two consecutive elements land in
+    one sigma), or at sigma_1.
     """
-    _check_chain_end(glist, k, rho[-1] if rho else None)
+    if rho or glist.tag(k) != TAG_SKIP:  # an empty rho has no end to check
+        _check_chain_end(glist, k, rho[-1] if rho else None)
     if len(rho) != k:
         raise ValueError(f"rho has length {len(rho)}, expected k={k}")
     if len(set(rho)) != len(rho) or not all(1 <= a <= glist.n for a in rho):
@@ -485,25 +489,17 @@ def trace_m_sets(
     pos = _positions(glist)
     steps: list[tuple[int, frozenset[int]]] = []
     removed: set[int] = set()
-    idx = k - 1
-    terminated = idx
-    max_size = 0
-    while idx >= 1:
-        prev_elem = rho[idx]  # rho[idx+1] in 1-based terms
-        at = pos[idx][prev_elem]
-        terminated = idx
-        if at < 0:
+    for idx in range(k - 1, 0, -1):
+        m_set = _m_set(glist, pos, idx, rho[idx], removed)
+        if m_set is None:
             break
-        m_set = frozenset(glist.seq(idx)[at + 1 :]) - removed
-        steps.append((idx, m_set))
-        max_size = max(max_size, len(m_set))
-        if not m_set or idx == 1:
+        steps.append((idx, frozenset(m_set)))
+        # two consecutive rho elements in sigma_idx leave the chain
+        if not m_set or idx == 1 or rho[idx - 1] not in m_set:
             break
-        if rho[idx - 1] not in m_set:
-            break  # two consecutive rho elements land in sigma_idx
-        removed.add(prev_elem)
-        idx -= 1
-    return MSetTrace(tuple(steps), terminated, max_size)
+        removed.add(rho[idx])
+    max_size = max((len(m_set) for _, m_set in steps), default=0)
+    return MSetTrace(tuple(steps), idx, max_size)
 
 
 def _positions(glist: GeneratedList) -> list[list[int]]:
@@ -554,30 +550,33 @@ def _skip_chain(
 ) -> tuple[int, ...]:
     """skip_chain_rho over the _positions maps, which chains of one list
     share."""
-    rho: dict[int, int] = {k: last}
+    chain = [last]  # rho[k], rho[k-1], ...
     removed: set[int] = set()
-    idx = k - 1
-    while idx >= 1:
-        prev = rho[idx + 1]
-        at = pos[idx][prev]
-        if at < 0:
+    for idx in range(k - 1, 1, -1):
+        m_set = _m_set(glist, pos, idx, chain[-1], removed)
+        if not m_set:
             break
-        tail = glist.sequences[idx - 1][at + 1 :]
-        m_set = [a for a in tail if a not in removed]
-        if not m_set or idx == 1:
-            break
-        removed.add(prev)
+        removed.add(chain[-1])
         before = pos[idx - 1]
         present = [a for a in m_set if before[a] >= 0]
-        rho[idx] = (
+        chain.append(
             min(present, key=before.__getitem__) if present else min(m_set)
         )
-        idx -= 1
-    used = set(rho.values())
-    unused = iter(a for a in range(1, glist.n + 1) if a not in used)
-    return tuple(
-        rho[p] if p in rho else next(unused) for p in range(1, k + 1)
-    )
+    used = set(chain)
+    pad = [a for a in range(1, glist.n + 1) if a not in used]
+    return tuple(pad[: k - len(chain)] + chain[::-1])
+
+
+def _m_set(
+    glist: GeneratedList, pos: list[list[int]], idx: int, prev: int,
+    removed: set[int],
+) -> Optional[list[int]]:
+    """M_idx, the letters of sigma_idx after prev less those in removed, in
+    sigma_idx order; None when prev is not in sigma_idx."""
+    at = pos[idx][prev]
+    if at < 0:
+        return None
+    return [a for a in glist.sequences[idx - 1][at + 1 :] if a not in removed]
 
 
 def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
@@ -614,10 +613,10 @@ def shortest_supersequence_oracle(m: int) -> tuple[int, tuple[int, ...]]:
     smallest length.  A state is expanded only when first reached, so each
     (state, letter) pair is stepped once; the states are finitely many and
     a supersequence exists, so the search ends.  Only desk-scale alphabets
-    (m <= 4) are supported.
+    (m <= 5) are supported: m = 5 takes seconds and about 0.6 GiB.
     """
-    if not 1 <= m <= 4:
-        raise ValueError(f"oracle supports 1 <= m <= 4, got m={m}")
+    if not 1 <= m <= 5:
+        raise ValueError(f"oracle supports 1 <= m <= 5, got m={m}")
     without, _, tree = _universe(m, 0)
     full = (1 << m) - 1  # the bit of the whole alphabet
     start = tuple(tree)

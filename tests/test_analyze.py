@@ -139,6 +139,15 @@ class TestComparisonTable:
         # levels 2 and 4 tie at 573; ties break to the simpler construction
         assert row.best_s == 2
 
+    def test_m_24_first_to_beat_radomirovic(self):
+        (row,) = comparison_table([24], with_actual=True)
+        assert (row.best_s, row.best_len, row.actual) == (3, 526, 526)
+        assert row.radomirovic == 527
+        assert all(
+            row.best_len is None or row.best_len >= row.radomirovic
+            for row in comparison_table(range(5, 24))
+        )
+
     def test_m_7_no_valid_level(self):
         (row,) = comparison_table([7])
         assert row.classical == 39

@@ -205,6 +205,15 @@ class TestVerify:
         assert out == ""
         assert f"alphabet size m={m} must be at least 1" in err
 
+    def test_sampled_negative_seed_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--word", "1,2,1", "--m", "2", "--sampled",
+            "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed=-1 must be non-negative" in err
+
     def test_sampled_alphabet_above_ceiling_exit_2(self, capsys):
         code, out, err = run(
             capsys, "verify", "--word", "1,2", "--m", "1000000000",
@@ -325,6 +334,14 @@ class TestOracleAndTrace:
             "--rho", "1,2,3",
         )
         assert code == 2
+
+    def test_trace_empty_rho_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--s", "3", "--n", "18", "--k", "12", "--rho", ",",
+        )
+        assert code == 2
+        assert out == ""
+        assert "rho has length 0, expected k=12" in err
 
     def test_trace_k_out_of_range_exit_2(self, capsys):
         code, out, err = run(

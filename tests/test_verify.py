@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -82,6 +84,76 @@ def naive_least_missing(word, n, k):
 
 def naive_supersequence_check(word, m):
     return naive_least_missing(word, m, m) is None
+
+
+def naive_m_sets(glist, rho, k):
+    """trace_m_sets from its docstring, 1-based: M_{k-i} is the letters of
+    sigma_{k-i} after rho_{k-i+1}, less rho_k, ..., rho_{k-i+2}, as sorted
+    tuples; with the reason the walk stopped."""
+    r = dict(enumerate(rho, 1))
+    steps = []
+    for i in range(1, k):
+        sigma = glist.seq(k - i)
+        if r[k - i + 1] not in sigma:
+            reason = "absent"
+            break
+        later = set(sigma[sigma.index(r[k - i + 1]) + 1 :])
+        m_set = later - {r[j] for j in range(k - i + 2, k + 1)}
+        steps.append((k - i, tuple(sorted(m_set))))
+        if k - i == 1:
+            reason = "sigma_1"
+            break
+        if not m_set:
+            reason = "empty"
+            break
+        if r[k - i] not in m_set:
+            reason = "left"
+            break
+    max_size = max((len(m_set) for _, m_set in steps), default=0)
+    return (tuple(steps), k - i, max_size), reason
+
+
+def trace_corpus():
+    """(glist, rho, k) for each skip chain of five lists: the chain; the
+    chain with two letters before its end swapped; a seeded random distinct
+    rho ending in the chain's skip letter; a seeded random walk down the M
+    sets from that letter, padded in front with unused letters; and the
+    chain over a copy of the list with rho_{idx+1} deleted from sigma_idx
+    at a random idx (no walk down a built list meets a letter missing from
+    sigma_idx)."""
+    rng = random.Random(16)
+    for s, n in [(2, 12), (3, 13), (3, 18), (4, 24), (5, 39)]:
+        glist = generate(s, n)
+        for k in glist.skip_indices():
+            for last in range(n - s + 2, n + 1):
+                chain = skip_chain_rho(glist, k, last)
+                yield glist, chain, k
+                swapped = list(chain)
+                i, j = rng.sample(range(k - 1), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                yield glist, tuple(swapped), k
+                rest = [a for a in range(1, n + 1) if a != last]
+                yield glist, tuple(rng.sample(rest, k - 1)) + (last,), k
+                walk = [last]
+                for idx in range(k - 1, 1, -1):
+                    sigma = glist.seq(idx)
+                    if walk[-1] not in sigma:
+                        break
+                    later = sigma[sigma.index(walk[-1]) + 1 :]
+                    m_set = [a for a in later if a not in walk]
+                    if not m_set:
+                        break
+                    walk.append(rng.choice(m_set))
+                rest = [a for a in range(1, n + 1) if a not in walk]
+                front = rng.sample(rest, k - len(walk))
+                yield glist, tuple(front + walk[::-1]), k
+                idx = rng.randrange(2, k)
+                sequences = list(glist.sequences)
+                sequences[idx - 1] = tuple(
+                    a for a in sequences[idx - 1] if a != chain[idx]
+                )
+                cut = dataclasses.replace(glist, sequences=tuple(sequences))
+                yield cut, chain, k
 
 
 @pytest.mark.parametrize("bad", [0, 5])
@@ -449,6 +521,23 @@ class TestExhaustive:
         assert float(elapsed) < 15.0
         assert int(peak_kib) < 1024 * 1024
 
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_m24_word_shorter_than_radomirovic(self, child_report):
+        # the 526-letter word over 24 letters of gen_ts(3, 23), the
+        # smallest alphabet where a built word beats Radomirovic's 527
+        out = child_report(
+            "from skipseq import *\n"
+            "word = build_supersequence(gen_ts(3, 23)).word\n"
+            "print('length', len(word))\n"
+            "print('passed', verify_supersequence_exhaustive(word, 24).passed)\n"
+        )
+        assert out["length"] == "526"
+        assert out["passed"] == "True"
+        assert int(out["hwm"]) < 512 * 1024
+
     def test_agrees_with_naive_on_random_words(self):
         rng = random.Random(5)
         for _ in range(100):
@@ -471,6 +560,11 @@ class TestExhaustive:
 
 
 class TestSampled:
+    def test_negative_seed_rejected_before_any_build(self, monkeypatch):
+        monkeypatch.setattr(verify, "NextOccurrenceTable", None)
+        with pytest.raises(ValueError, match="seed=-1 must be non-negative"):
+            verify_supersequence_sampled((1, 2, 1), 2, 10, seed=-1)
+
     def test_alphabet_above_cell_budget_rejected(self):
         # one permutation row holds m cells, so no batch fits the budget
         for m in ((1 << 21) + 1, 1 << 22):
@@ -1017,6 +1111,24 @@ class TestTraceMSets:
                     trace = trace_m_sets(glist, skip_chain_rho(glist, k, a), k)
                     assert trace.max_size <= s - 1
 
+    def test_agrees_with_naive_on_seeded_rho(self):
+        reasons = collections.Counter()
+        outputs = []
+        for glist, rho, k in trace_corpus():
+            trace = trace_m_sets(glist, rho, k)
+            steps = tuple((idx, tuple(sorted(m))) for idx, m in trace.steps)
+            got = (steps, trace.terminated_at, trace.max_size)
+            expected, reason = naive_m_sets(glist, rho, k)
+            assert got == expected, (glist.s, glist.n, k, rho)
+            reasons[reason] += 1
+            outputs.append(got)
+        # every way the walk can stop is exercised
+        assert set(reasons) == {"absent", "empty", "sigma_1", "left"}, reasons
+        # sha256 of the normalised outputs, 16 hex digits, recorded before
+        # the trace and the skip chains shared one M-set step
+        digest = hashlib.sha256(repr(outputs).encode()).hexdigest()[:16]
+        assert digest == "c37fd4085cd34965"
+
     def test_precondition_checks(self):
         glist = gen_ts(3, 18)
         with pytest.raises(ValueError, match="k=-6 outside 1..18"):
@@ -1034,6 +1146,17 @@ class TestTraceMSets:
                 skip_chain_rho(glist, 12, last)
             with pytest.raises(ValueError, match=message):
                 trace_m_sets(glist, tuple(range(1, 12)) + (last,), 12)
+        # a short rho is judged by its last letter, an empty one by its length
+        with pytest.raises(ValueError, match="rho\\[12\\]=3 is not a skip"):
+            trace_m_sets(glist, (1, 2, 3), 12)
+        with pytest.raises(ValueError, match="rho has length 2, expected k=12"):
+            trace_m_sets(glist, (1, 17), 12)
+        with pytest.raises(ValueError, match="rho has length 0, expected k=12"):
+            trace_m_sets(glist, (), 12)
+        with pytest.raises(ValueError, match="k=11 is not a skip-sequence"):
+            trace_m_sets(glist, (), 11)
+        with pytest.raises(ValueError, match="k=99 outside 1..18"):
+            trace_m_sets(glist, (), 99)
 
 
 class TestOracle:
@@ -1078,6 +1201,36 @@ class TestOracle:
         found = shortest_supersequence_oracle(4)
         assert found == (12, (1, 2, 3, 4, 1, 2, 3, 1, 4, 2, 1, 3))
         assert naive_supersequence_check(found[1], 4)
+
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_alphabet_outside_1_to_5_rejected(self, m):
+        message = f"oracle supports 1 <= m <= 5, got m={m}"
+        with pytest.raises(ValueError, match=message):
+            shortest_supersequence_oracle(m)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_m_5_time_and_peak_rss(self, child_report):
+        # 19 = m^2 - 2m + 4: the classical length is the minimum at m = 5
+        out = child_report(
+            "import time\n"
+            "from skipseq import shortest_supersequence_oracle\n"
+            "start = time.perf_counter()\n"
+            "length, word = shortest_supersequence_oracle(5)\n"
+            "print('elapsed', time.perf_counter() - start)\n"
+            "print('length', length)\n"
+            "print('word', ','.join(map(str, word)))\n"
+        )
+        assert out["length"] == "19"
+        word = tuple(map(int, out["word"].split(",")))
+        assert word == (
+            1, 2, 3, 4, 5, 1, 2, 3, 4, 1, 5, 2, 3, 1, 4, 2, 3, 5, 1,
+        )
+        assert naive_supersequence_check(word, 5)
+        assert float(out["elapsed"]) < 60.0
+        assert int(out["hwm"]) < 1024 * 1024
 
     def test_prefix_state_agrees_with_naive(self):
         # Drive the pass through every prefix of seeded random words:
