@@ -90,20 +90,9 @@ class NextOccurrenceTable:
         self.absent = len(self.word) + 1
 
     def as_array(self) -> np.ndarray:
-        """(L+2, m+1) int32 array of the table, for vectorized matching.
-
-        Row p holds p+1 at its own letter and ``absent`` elsewhere; a
-        running minimum from the last row up then carries each occurrence
-        back to every earlier row.
-        """
-        L = len(self.word)
-        table = np.full((L + 2, self.m + 1), self.absent, dtype=np.int32)
-        table[np.arange(L), np.array(self.word, dtype=np.intp)] = np.arange(
-            1, L + 1
-        )
-        back = table[::-1]
-        np.minimum.accumulate(back, axis=0, out=back)
-        return table
+        """(L+2, m+1) int32 array of the table, for vectorized matching:
+        the segmented ``first`` of the word cut into one-letter blocks."""
+        return self._first(np.arange(len(self.word)), len(self.word) + 2)
 
     def as_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Segmented form of the table: ``(first, block)`` int32 arrays.
@@ -128,10 +117,18 @@ class NextOccurrenceTable:
             last[a] = p
         block[L] = 1
         np.cumsum(block, out=block)
-        first = np.full((block[L] + 2, self.m + 1), self.absent, dtype=np.int32)
-        first[block[:L], np.array(self.word, dtype=np.intp)] = np.arange(
-            1, L + 1
+        return self._first(block[:L], block[L] + 2), block
+
+    def _first(self, block: np.ndarray, rows: int) -> np.ndarray:
+        """(rows, m+1) int32 table whose row b holds, per letter, the first
+        index at or after block b's start that holds it, or ``absent``,
+        where index p+1 lies in block ``block[p]``: each index goes to its
+        block's row, and a running minimum from the last row up carries it
+        back to every earlier row."""
+        table = np.full((rows, self.m + 1), self.absent, dtype=np.int32)
+        table[block, np.array(self.word, dtype=np.intp)] = np.arange(
+            1, len(self.word) + 1
         )
-        back = first[::-1]
+        back = table[::-1]
         np.minimum.accumulate(back, axis=0, out=back)
-        return first, block
+        return table

@@ -271,22 +271,22 @@ def strongly_complete(sequences: Seq[Seq[int]], n: int) -> Optional[Witness]:
 
 
 def quasi_palindrome(sequences: Seq[Seq[int]]) -> BijectionReport:
-    """Recover the unique candidate bijection mapping the concatenation to
-    its own reversal, if it exists."""
+    """The bijection phi mapping the concatenation to its reversal, found
+    by one mirror scan, if it exists and the sequence lengths are symmetric.
+
+    Position p maps a = word[p] to b = word[L-1-p]; the scan also visits
+    L-1-p and maps b back to a there, so a phi that survives the scan is
+    an injective involution on the letters of the word."""
     word = [a for seq in sequences for a in seq]
     L = len(word)
     mapping: dict[int, int] = {}
-    for p in range(L):
-        a, b = word[p], word[L - 1 - p]
+    for p, (a, b) in enumerate(zip(word, reversed(word))):
         if mapping.setdefault(a, b) != b:
             return BijectionReport(False, conflict=(p + 1, L - p))
-    if len(set(mapping.values())) != len(mapping):
-        return BijectionReport(False)
     lengths = [len(seq) for seq in sequences]
     if lengths != lengths[::-1]:
         return BijectionReport(False)
-    involution = all(mapping.get(b) == a for a, b in mapping.items())
-    return BijectionReport(True, mapping, involution)
+    return BijectionReport(True, mapping, True)
 
 
 def verify_supersequence_exhaustive(

@@ -100,6 +100,12 @@ class TestCoefficient:
         assert constant_term(3) == Fraction(38, 5)
         assert constant_term(4) == Fraction(61, 7)
 
+    def test_level_below_2_rejected(self):
+        for term in (coefficient, constant_term):
+            message = f"^{term.__name__} requires s >= 2, got 1$"
+            with pytest.raises(ValidationError, match=message):
+                term(1)
+
     def test_limit(self):
         c = coefficient(10**6)
         assert c < Fraction(5, 2)

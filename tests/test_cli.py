@@ -277,6 +277,12 @@ class TestAnalyze:
         assert lines[1] == "3: 12/5"
         assert lines[2] == "4: 17/7"
 
+    def test_no_alphabet_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze")
+        assert code == 2
+        assert out == ""
+        assert "supply --m, --m-range, or --coefficients" in err
+
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "--m", "3")
         assert code == 2

@@ -104,6 +104,11 @@ class TestGenerate:
         with pytest.raises(ValidationError, match=f"level s={s} must be >= 1"):
             generate(s, 5)
 
+    def test_gen_ts_below_level_3_rejected(self):
+        message = "^gen_ts requires s >= 3, got s=2$"
+        with pytest.raises(ValidationError, match=message):
+            gen_ts(2, 9)
+
     def test_every_valid_list_pinned(self):
         # sha256 over (sequences, case_tags) of every valid (s, n) with
         # 4 <= n <= 120, levels ascending at each n
@@ -244,6 +249,10 @@ class TestConstructForM:
     def test_t1_fallback(self):
         assert construct_for_m(7, "t1_fallback").length == 39
         assert construct_for_m(5, "t1_fallback").length == 19
+
+    def test_alphabet_below_5_rejected(self):
+        with pytest.raises(ValidationError, match="^m=4 must be >= 5$"):
+            construct_for_m(4)
 
     def test_exact_unavailable(self):
         with pytest.raises(ValidationError, match="unknown strategy 'exact'"):

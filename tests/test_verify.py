@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import golden
 from skipseq import (
@@ -32,6 +33,7 @@ from skipseq import (
     verify_supersequence_sampled,
 )
 from skipseq import verify
+from skipseq.construct import valid_levels
 from skipseq.verify import (
     EXHAUSTIVE_LIMIT,
     adversarial_permutations,
@@ -398,19 +400,130 @@ class TestQuasiPalindrome:
         assert report.mapping == {1: 2, 2: 1}
 
     def test_not_a_quasi_palindrome(self):
+        # 1213: position 1 maps 1 to 3, position 3 maps it to 2
         report = quasi_palindrome([(1, 2), (1, 3)])
-        assert not report.found
-        assert report.conflict is not None
+        assert report == verify.BijectionReport(False, conflict=(3, 2))
+
+    @pytest.mark.parametrize(
+        "sequences, conflict",
+        [
+            # 112: position 1 maps 1 to 2, position 2 maps it to 1
+            ([(1, 1, 2)], (2, 2)),
+            # 12331: 2 goes to 3 at position 2, 3 to itself at 3, so
+            # position 4 cannot map 3 to 2
+            ([(1, 2, 3), (3, 1)], (4, 2)),
+            # 1222: 1 goes to 2 at position 1, 2 to 2 at 2, so position 4
+            # cannot map 2 to 1
+            ([(1, 2, 2, 2)], (4, 1)),
+        ],
+    )
+    def test_conflict_positions(self, sequences, conflict):
+        # the first 1-based position p whose letter is already mapped to
+        # another letter than the one at its mirror L + 1 - p
+        report = quasi_palindrome(sequences)
+        assert report == verify.BijectionReport(False, conflict=conflict)
 
     def test_mirror_length_condition(self):
         # concatenation palindromic but per-sequence lengths asymmetric
         report = quasi_palindrome([(1, 2, 1), (2,)])
-        assert not report.found
+        assert report == verify.BijectionReport(False)
+        # a concatenation with a bijection and asymmetric lengths
+        report = quasi_palindrome([(1, 2, 3, 4), (5,)])
+        assert report == verify.BijectionReport(False)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 4), max_size=4).map(tuple), max_size=6
+        ),
+        st.lists(st.integers(1, 4), min_size=4, max_size=4),
+        st.booleans(),
+    )
+    def test_found_mapping_is_an_injective_involution(
+        self, sequences, image, mirrored
+    ):
+        # mirrored: the list followed by its reversed image under the
+        # letter map a -> image[a - 1], which is found when that map is
+        # consistent with the scan
+        if mirrored:
+            sequences = sequences + [
+                tuple(image[a - 1] for a in reversed(seq))
+                for seq in reversed(sequences)
+            ]
+        report = quasi_palindrome(sequences)
+        if not report.found:
+            return
+        phi = report.mapping
+        word = [a for seq in sequences for a in seq]
+        assert report.involution and report.conflict is None
+        assert set(phi) == set(word)
+        assert len(set(phi.values())) == len(phi)
+        assert all(phi[phi[a]] == a for a in phi)
+        assert [phi[a] for a in word] == word[::-1]
 
     def test_golden_bijections(self):
         assert quasi_palindrome(golden.T1_6).mapping == golden.T1_6_BIJECTION
         assert quasi_palindrome(golden.T2_12).mapping == golden.T2_12_BIJECTION
         assert quasi_palindrome(golden.T3_18).mapping == golden.T3_18_BIJECTION
+
+
+class TestProofRoute:
+    """The paper's proof route: forward completeness plus a quasi-palindrome
+    bijection phi give backward completeness, since the last k sequences
+    are the reversed phi-image of the first k."""
+
+    def test_mirror_damage_keeps_forward_and_backward_equal(self):
+        # Deleting concatenation positions p and L-1-p keeps a list a
+        # quasi-palindrome; trial 0 keeps the list undamaged
+        rng = random.Random(17)
+        verdicts = collections.Counter()
+        for s, n in [(1, 6), (1, 9), (2, 9), (2, 12), (3, 13)]:
+            sequences = generate(s, n).sequences
+            for trial in range(31):
+                damaged = [list(seq) for seq in sequences]
+                for _ in range(trial and rng.randint(1, 3)):
+                    cells = [
+                        (i, j)
+                        for i, seq in enumerate(damaged)
+                        for j in range(len(seq))
+                    ]
+                    p = rng.randrange(len(cells))
+                    for q in sorted({p, len(cells) - 1 - p}, reverse=True):
+                        i, j = cells[q]
+                        del damaged[i][j]
+                assert quasi_palindrome(damaged).found
+                forward = forward_complete(damaged, n)
+                backward = backward_complete(damaged, n)
+                assert (forward is None) == (backward is None)
+                if forward is not None:
+                    assert forward.failed_k == backward.failed_k
+                verdicts[forward is None] += 1
+        # the five undamaged lists pass; nearly every damaged one fails
+        assert verdicts[True] >= 5 and verdicts[False] > 0
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_proof_table(self, child_report):
+        # every valid (s, n) with 9 <= n <= 25, proven by the route
+        rows = [(1, n) for n in range(9, 26)] + [
+            (2, 9), (2, 12), (2, 15), (2, 18), (2, 21), (2, 24),
+            (3, 13), (3, 18), (3, 23),
+            (4, 17), (4, 24),
+            (5, 21),
+            (6, 25),
+        ]
+        valid = [(s, n) for n in range(9, 26) for s in [1] + valid_levels(n)]
+        assert len(rows) == 30 and sorted(rows) == sorted(valid)
+        out = child_report(
+            "from skipseq import *\n"
+            f"for s, n in {rows!r}:\n"
+            "    seqs = generate(s, n).sequences\n"
+            "    forward = forward_complete(seqs, n) is None\n"
+            "    print(f'T{s}_{n}', forward, quasi_palindrome(seqs).found)\n"
+        )
+        assert int(out.pop("hwm")) < 1024 * 1024
+        assert out == {f"T{s}_{n}": "True True" for s, n in rows}
 
 
 class TestExhaustive:
@@ -564,6 +677,11 @@ class TestSampled:
         monkeypatch.setattr(verify, "NextOccurrenceTable", None)
         with pytest.raises(ValueError, match="seed=-1 must be non-negative"):
             verify_supersequence_sampled((1, 2, 1), 2, 10, seed=-1)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_1_rejected(self, count):
+        with pytest.raises(ValueError, match="^count must be >= 1$"):
+            verify_supersequence_sampled((1, 2, 1), 2, count, seed=1)
 
     def test_alphabet_above_cell_budget_rejected(self):
         # one permutation row holds m cells, so no batch fits the budget
@@ -1157,6 +1275,12 @@ class TestTraceMSets:
             trace_m_sets(glist, (), 11)
         with pytest.raises(ValueError, match="k=99 outside 1..18"):
             trace_m_sets(glist, (), 99)
+        # the README's rho with its first letter repeated or out of range
+        rho = (1, 16, 15, 14, 13, 12, 11, 10, 9, 8, 18, 17)
+        for first in (16, 0, 19):
+            message = "^rho must have distinct letters from 1..n$"
+            with pytest.raises(ValueError, match=message):
+                trace_m_sets(glist, (first,) + rho[1:], 12)
 
 
 class TestOracle:
