@@ -4,13 +4,13 @@ next-occurrence tables (dense, or segmented into blocks for long words).
 Sequences are plain tuples of small positive integers (letters).  All index
 arithmetic in the public functions is 1-based and inclusive at both ends;
 negative indices count from the back (-1 is the last element).
+The array forms of the table import numpy when first built, so that
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence as Seq
-
-import numpy as np
 
 __all__ = [
     "SliceRangeError",
@@ -92,6 +92,8 @@ class NextOccurrenceTable:
     def as_array(self) -> np.ndarray:
         """(L+2, m+1) int32 array of the table, for vectorized matching:
         the segmented ``first`` of the word cut into one-letter blocks."""
+        import numpy as np
+
         return self._first(np.arange(len(self.word)), len(self.word) + 2)
 
     def as_blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +108,8 @@ class NextOccurrenceTable:
         smallest index > g holding a is ``first[block[g], a]`` when that
         exceeds g, and ``first[block[g] + 1, a]`` otherwise.
         """
+        import numpy as np
+
         L = len(self.word)
         block = np.zeros(L + 2, dtype=np.int32)
         last = [-1] * (self.m + 1)
@@ -125,6 +129,8 @@ class NextOccurrenceTable:
         where index p+1 lies in block ``block[p]``: each index goes to its
         block's row, and a running minimum from the last row up carries it
         back to every earlier row."""
+        import numpy as np
+
         table = np.full((rows, self.m + 1), self.absent, dtype=np.int32)
         table[block, np.array(self.word, dtype=np.intp)] = np.arange(
             1, len(self.word) + 1

@@ -11,7 +11,8 @@ for long words, the segmented next-occurrence table, so their memory is
 bounded by one cell budget whatever the word's length, and draw each
 batch on a worker thread while the one before it is matched; and the
 quasi-palindrome bijection is reconstructed position by position from
-the concatenation.
+the concatenation.  Only the sampled checks use numpy, and they import it
+on their first call, so that the other checks never load it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import time
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence as Seq
-
-import numpy as np
 
 from .core import NextOccurrenceTable, checked_word
 from .construct import (
@@ -324,6 +323,8 @@ class _Matcher:
     """
 
     def __init__(self, table: NextOccurrenceTable, rows: int, dense: bool):
+        import numpy as np
+
         self.dense = dense
         if dense:
             self.scale = table.m + 1
@@ -345,6 +346,8 @@ class _Matcher:
     def advance(self, pos: np.ndarray, perms: np.ndarray) -> None:
         """Greedy-match each row of perms from its entry of pos, a slice of
         a buffer like `self.pos`, and overwrite it with the end position."""
+        import numpy as np
+
         n = len(pos)
         idx = self.idx[:n]
         if self.dense:
@@ -369,6 +372,8 @@ class _Matcher:
         Columns are matched `_CHUNK` at a time, and the walk stops as soon
         as row 0 has failed, since it is then the first failing row: a long
         permutation that fails early costs one chunk, not m columns."""
+        import numpy as np
+
         pos = self.pos[: len(perms)]
         pos.fill(0)
         for lo in range(0, perms.shape[1], _CHUNK):
@@ -414,6 +419,10 @@ def verify_supersequence_sampled(
     extra = list(extra)
     if any(len(perm) != m for perm in extra):
         raise ValueError(f"every extra permutation must have length m={m}")
+    # imported here: every other check runs without numpy, which takes
+    # about 40 ms and 13 MiB to load
+    import numpy as np
+
     family = np.array(extra, dtype=np.int64).reshape(len(extra), m)
     if (np.sort(family, axis=1) != np.arange(1, m + 1)).any():
         raise ValueError(f"every extra row must be a permutation of 1..{m}")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +358,56 @@ class TestOracleAndTrace:
         assert code == 2
         assert out == ""
         assert "k=99 outside 1..18" in err
+
+
+class TestColdStart:
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_only_sampled_checks_load_numpy(self, capsys, child_report):
+        # numpy takes about 40 ms and 13 MiB to import: every command but
+        # verify --sampled runs without it, as does a sampled call rejected
+        # for its seed, and the first sampled call loads it and prints what
+        # an in-process run prints
+        commands = [
+            ["generate", "--s", "3", "--n", "13"],
+            ["verify", "--s", "3", "--n", "13", "--exhaustive"],
+            ["analyze", "--m", "25"],
+            ["oracle", "--m", "3"],
+            ["trace", "--s", "3", "--n", "18", "--k", "12",
+             "--rho", "1,16,15,14,13,12,11,10,9,8,18,17"],
+            ["verify", "--s", "3", "--n", "13", "--sampled", "--seed", "-1"],
+        ]
+        sampled = [
+            "verify", "--s", "3", "--n", "13", "--sampled", "--seed", "1",
+            "--format", "json",
+        ]
+        out = child_report(
+            "import contextlib, io, json, sys\n"
+            "from skipseq import cli, gen_ts, quasi_palindrome, strongly_complete\n"
+            "def run(argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = cli.main(argv)\n"
+            "    return code, out.getvalue()\n"
+            f"print('codes', [run(argv)[0] for argv in {commands!r}])\n"
+            "sequences = gen_ts(3, 13).sequences\n"
+            "print('complete', strongly_complete(sequences, 13))\n"
+            "print('found', quasi_palindrome(sequences).found)\n"
+            "print('numpy_before', 'numpy' in sys.modules)\n"
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print('hwm_before', hwm[0].split()[1])\n"
+            f"code, out = run({sampled!r})\n"
+            "print('sampled', json.dumps([code, out]))\n"
+            "print('numpy_after', 'numpy' in sys.modules)\n"
+        )
+        assert out["codes"] == "[0, 0, 0, 0, 0, 2]"
+        assert out["complete"] == "None"
+        assert out["found"] == "True"
+        assert out["numpy_before"] == "False"
+        assert int(out["hwm_before"]) < 28 * 1024
+        assert out["numpy_after"] == "True"
+        assert json.loads(out["sampled"]) == list(run(capsys, *sampled)[:2])
 
 
 class TestUsage:

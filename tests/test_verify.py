@@ -995,6 +995,49 @@ class TestSampled:
         assert not any(thread.is_alive() for thread in threads)
         assert results == expected
 
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_first_import_under_concurrency(self, child_report):
+        # two threads make a fresh process's first sampled calls at once,
+        # so both race its first import of numpy: each triple equals its
+        # serial value (this module has already imported numpy, so only a
+        # child sees the race)
+        word = build_supersequence(gen_ts(3, 13)).word
+        damaged = word[:43] + word[44:128] + word[129:]
+        expected = {}
+        for seed in (5, 6):
+            r = verify_supersequence_sampled(damaged, 14, 3000, seed)
+            witness = r.witness and r.witness.permutation
+            expected[seed] = (r.verdict, witness, r.stats["permutations_checked"])
+        out = child_report(
+            "import sys, threading\n"
+            "from skipseq import build_supersequence, gen_ts\n"
+            "from skipseq import verify_supersequence_sampled\n"
+            "word = build_supersequence(gen_ts(3, 13)).word\n"
+            "damaged = word[:43] + word[44:128] + word[129:]\n"
+            "print('numpy_before', 'numpy' in sys.modules)\n"
+            "barrier, results = threading.Barrier(2), {}\n"
+            "def triple(seed):\n"
+            "    barrier.wait()\n"
+            "    r = verify_supersequence_sampled(damaged, 14, 3000, seed)\n"
+            "    witness = r.witness and r.witness.permutation\n"
+            "    results[seed] = (r.verdict, witness,"
+            " r.stats['permutations_checked'])\n"
+            "threads = [threading.Thread(target=triple, args=(seed,))"
+            " for seed in (5, 6)]\n"
+            "sys.setswitchinterval(1e-5)\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(timeout=60)\n"
+            "print('alive', any(thread.is_alive() for thread in threads))\n"
+            "print('results', repr(sorted(results.items())))\n"
+        )
+        assert out["numpy_before"] == "False"
+        assert out["alive"] == "False"
+        assert out["results"] == repr(sorted(expected.items()))
+
     def test_no_thread_outlives_the_call(self, monkeypatch):
         word = build_supersequence(gen_ts(3, 13)).word
         damaged = word[:43] + word[44:128] + word[129:]
@@ -1035,7 +1078,7 @@ class TestSampled:
         assert 591 < verify._CELL_BUDGET // 28 < 100_000
         for fail_at, w in ((1, word), (2, damaged)):
             monkeypatch.setattr(
-                verify.np.random, "default_rng",
+                np.random, "default_rng",
                 lambda seed: Broken(seed, fail_at),
             )
             with pytest.raises(RuntimeError, match=f"draw {fail_at} failed"):
