@@ -34,26 +34,30 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _json_value(value, depth: int) -> str:
+def _json_value(value, depth: int, names: list[str]) -> str:
     """json.dumps(value, indent=2) at nesting depth `depth` for an int or a
-    non-empty list (or tuple) of ints or of such lists.
+    non-empty list (or tuple) of ints or of such lists, where every int in
+    a list is an index into names, the text of each letter.
 
     json.dumps with an indent runs the pure-Python encoder, one chunk per
-    int; this joins str() of the ints instead, for the same bytes.
+    int; this joins each letter's text from names, built once per
+    alphabet, for the same bytes.
     """
     if isinstance(value, int):
         return str(value)
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value[0], int):
-        items = map(str, value)
+        items = map(names.__getitem__, value)
     else:
-        items = (_json_value(v, depth + 1) for v in value)
+        items = (_json_value(v, depth + 1, names) for v in value)
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
 def _cmd_generate(args) -> int:
     glist = construct.generate(args.s, args.n)
     sseq = construct.build_supersequence(glist)
+    # one string per letter of the alphabet, not one per letter emitted
+    names = [str(a) for a in range(sseq.m + 1)]
     if args.format == "json":
         payload = {
             "s": glist.s,
@@ -63,13 +67,15 @@ def _cmd_generate(args) -> int:
             "length": sseq.length,
         }
         fields = (
-            f"  {json.dumps(key)}: {_json_value(value, 1)}"
+            f"  {json.dumps(key)}: {_json_value(value, 1, names)}"
             for key, value in payload.items()
         )
         _emit("{\n" + ",\n".join(fields) + "\n}\n", args.output)
     else:
-        lines = [",".join(map(str, seq)) for seq in glist.sequences]
-        lines.append(",".join(map(str, sseq.word)))
+        lines = [
+            ",".join(map(names.__getitem__, seq)) for seq in glist.sequences
+        ]
+        lines.append(",".join(map(names.__getitem__, sseq.word)))
         _emit("\n".join(lines) + "\n", args.output)
     return PASS
 

@@ -3,15 +3,21 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from skipseq import (
     build_supersequence,
     generate,
     verify_supersequence_exhaustive,
 )
-from skipseq.cli import main
+from skipseq.cli import _json_value, main
 
 import golden
+
+
+# at (3, 298) the letters pass CPython's cached small ints and the
+# interposed letter m = 299 is the last entry of the letter table
+GENERATE_CASES = [(1, 4), (2, 9), (3, 13), (4, 24), (3, 298)]
 
 
 def run(capsys, *argv):
@@ -83,7 +89,7 @@ class TestGenerate:
         assert code == 0
         assert json.loads(path.read_text())["length"] == 39
 
-    @pytest.mark.parametrize("s,n", [(1, 4), (2, 9), (3, 13), (4, 24)])
+    @pytest.mark.parametrize("s,n", GENERATE_CASES)
     def test_json_bytes_match_json_dumps(self, capsys, tmp_path, s, n):
         glist = generate(s, n)
         word = build_supersequence(glist).word
@@ -102,10 +108,62 @@ class TestGenerate:
         assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
         assert path.read_bytes() == out.encode()
 
+    @pytest.mark.parametrize("s,n", GENERATE_CASES)
+    def test_text_bytes_match_str_join(self, capsys, tmp_path, s, n):
+        glist = generate(s, n)
+        word = build_supersequence(glist).word
+        lines = [",".join(map(str, seq)) for seq in glist.sequences]
+        lines.append(",".join(map(str, word)))
+        argv = ("generate", "--s", str(s), "--n", str(n))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+    @given(st.data())
+    def test_json_value_matches_json_dumps(self, data):
+        # the letter-table fast path against the encoder it replaces
+        m = data.draw(st.integers(min_value=1, max_value=300))
+        letters = st.lists(
+            st.integers(min_value=1, max_value=m), min_size=1, max_size=20
+        )
+        letters = letters | letters.map(tuple)
+        value = data.draw(letters | st.lists(letters, min_size=1, max_size=5))
+        names = [str(a) for a in range(m + 1)]
+        assert _json_value(value, 0, names) == json.dumps(value, indent=2)
+
     def test_byte_identical_reruns(self, capsys):
-        a = run(capsys, "generate", "--s", "3", "--n", "13", "--format", "json")
-        b = run(capsys, "generate", "--s", "3", "--n", "13", "--format", "json")
-        assert a == b
+        for fmt in ("json", "text"):
+            argv = ("generate", "--s", "3", "--n", "13", "--format", fmt)
+            assert run(capsys, *argv) == run(capsys, *argv)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    @pytest.mark.parametrize(
+        "fmt,size,bound_mib", [("json", 7_019_130, 52), ("text", 2_727_604, 44)]
+    )
+    def test_m599_output_peak_rss(
+        self, child_report, tmp_path, fmt, size, bound_mib
+    ):
+        # the 7 MB payload renders from one string per letter of the
+        # alphabet, not one per letter emitted: VmHWM measured 45.9 (json)
+        # and 33.1 MiB (text) on Python 3.11, 44.6 and 30.3 on 3.10;
+        # one str() per letter emitted peaked at 58.0 and 52.4 MiB
+        path = tmp_path / f"out.{fmt}"
+        argv = [
+            "generate", "--s", "3", "--n", "598", "--format", fmt,
+            "--output", str(path),
+        ]
+        out = child_report(
+            "from skipseq import cli\n"
+            f"print('code', cli.main({argv!r}))\n"
+        )
+        assert out["code"] == "0"
+        assert path.stat().st_size == size
+        assert int(out["hwm"]) < bound_mib * 1024
 
 
 class TestVerify:
