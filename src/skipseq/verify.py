@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence as Seq
 
 from .core import NextOccurrenceTable, checked_word
-from .construct import (
-    GeneratedList,
-    TAG_SKIP,
-    generate,
-    skip_letters,
-)
+from .construct import GeneratedList, TAG_SKIP, skip_letters
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -560,18 +555,17 @@ def _skip_chain(
     """skip_chain_rho over the _positions maps, which chains of one list
     share."""
     chain = [last]  # rho[k], rho[k-1], ...
-    removed: set[int] = set()
+    used = {last}  # M_idx never holds prev, the letter it follows
     for idx in range(k - 1, 1, -1):
-        m_set = _m_set(glist, pos, idx, chain[-1], removed)
+        m_set = _m_set(glist, pos, idx, chain[-1], used)
         if not m_set:
             break
-        removed.add(chain[-1])
         before = pos[idx - 1]
         present = [a for a in m_set if before[a] >= 0]
         chain.append(
             min(present, key=before.__getitem__) if present else min(m_set)
         )
-    used = set(chain)
+        used.add(chain[-1])
     pad = [a for a in range(1, glist.n + 1) if a not in used]
     return tuple(pad[: k - len(chain)] + chain[::-1])
 
@@ -588,11 +582,11 @@ def _m_set(
     return [a for a in glist.sequences[idx - 1][at + 1 :] if a not in removed]
 
 
-def adversarial_permutations(s: int, n: int) -> list[tuple[int, ...]]:
+def adversarial_permutations(glist: GeneratedList) -> list[tuple[int, ...]]:
     """Deterministic stress family of permutations over {1..n+1} for the
-    interposed supersequence: identity, reversal-then-new-letter, all
+    word interposed from glist: identity, reversal-then-new-letter, all
     rotations, and max-occupancy skip chains ending in each skip letter."""
-    glist = generate(s, n)
+    s, n = glist.s, glist.n
     m = n + 1
     identity = tuple(range(1, m + 1))
     family: list[tuple[int, ...]] = [identity]

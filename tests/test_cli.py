@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 
 from skipseq import (
     build_supersequence,
+    construct,
     generate,
     verify_supersequence_exhaustive,
 )
 from skipseq.cli import _json_value, main
+from skipseq.verify import adversarial_permutations
 
 import golden
 
@@ -294,6 +296,79 @@ class TestVerify:
             "--m", "10", "--exhaustive",
         )
         assert (code == 0) == in_process.passed
+
+
+class TestVerifyFamily:
+    """verify --sampled also checks the adversarial family of the list that
+    --s and --n name, when its alphabet is the word's (m == n + 1)."""
+
+    SAMPLED = ("--sampled", "--count", "2000", "--seed", "42")
+
+    @pytest.fixture
+    def generate_calls(self, monkeypatch):
+        # generate(s, n) finds gen_ts in construct's namespace for s >= 3,
+        # so this counts every list made at those levels, whatever name
+        # the caller holds for generate
+        calls = []
+        gen_ts = construct.gen_ts
+
+        def counting(s, n):
+            calls.append((s, n))
+            return gen_ts(s, n)
+
+        monkeypatch.setattr(construct, "gen_ts", counting)
+        return calls
+
+    @staticmethod
+    def checked(capsys, *argv):
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        payload = json.loads(out)
+        return code, payload["stats"]["permutations_checked"], payload
+
+    def test_generated_word_generates_the_list_once(
+        self, capsys, generate_calls
+    ):
+        family = len(adversarial_permutations(generate(3, 13)))
+        generate_calls.clear()
+        code, checked, _ = self.checked(
+            capsys, "--s", "3", "--n", "13", *self.SAMPLED
+        )
+        assert code == 0
+        assert checked == 2000 + family
+        assert generate_calls == [(3, 13)]
+
+    def test_word_with_s_and_n_gets_the_family(self, capsys, generate_calls):
+        family = len(adversarial_permutations(generate(3, 13)))
+        word = ",".join(map(str, build_supersequence(generate(3, 13)).word))
+        generate_calls.clear()
+        _, checked, _ = self.checked(
+            capsys, "--word", word, "--s", "3", "--n", "13", *self.SAMPLED
+        )
+        assert checked == 2000 + family
+        assert generate_calls == [(3, 13)]
+        _, checked, _ = self.checked(
+            capsys, "--word", word, "--m", "14", *self.SAMPLED
+        )
+        assert checked == 2000
+        # the exhaustive check needs no list
+        code, _, _ = run(
+            capsys, "verify", "--word", word, "--s", "3", "--n", "13",
+            "--exhaustive",
+        )
+        assert code == 0
+        assert generate_calls == [(3, 13)]
+
+    def test_deletion_fails_on_the_family_reversal(self, capsys):
+        word = build_supersequence(generate(3, 13)).word
+        assert word[13] == 13  # the 13 that ends sigma_1
+        cut = ",".join(map(str, word[:13] + word[14:]))
+        code, checked, payload = self.checked(
+            capsys, "--word", cut, "--s", "3", "--n", "13", "--sampled",
+            "--seed", "1",
+        )
+        assert code == 1
+        assert payload["witness"] == list(range(13, 0, -1)) + [14]
+        assert checked == 2
 
 
 class TestAnalyze:

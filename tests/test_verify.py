@@ -115,6 +115,31 @@ def naive_m_sets(glist, rho, k):
     return (tuple(steps), k - i, max_size), reason
 
 
+def naive_skip_chain(glist, k, last):
+    """skip_chain_rho from its docstring, with the reason its walk stopped:
+    from sigma_{k-1} down to sigma_2, M is the letters of sigma_idx after
+    the last pick, less the letters picked, and the next pick is the member
+    of M that occurs first in sigma_{idx-1}, else the least member; the
+    walk dies when the last pick is not in sigma_idx or M is empty, and the
+    front is padded with unused letters ascending."""
+    chain = [last]
+    reason = "sigma_2"
+    for idx in range(k - 1, 1, -1):
+        sigma = list(glist.seq(idx))
+        if chain[-1] not in sigma:
+            reason = "absent"
+            break
+        m_set = set(sigma[sigma.index(chain[-1]) + 1 :]) - set(chain)
+        if not m_set:
+            reason = "empty"
+            break
+        before = list(glist.seq(idx - 1))
+        present = [a for a in m_set if a in before]
+        chain.append(min(present, key=before.index) if present else min(m_set))
+    pad = sorted(set(range(1, glist.n + 1)) - set(chain))
+    return tuple(pad[: k - len(chain)] + chain[::-1]), reason
+
+
 def trace_corpus():
     """(glist, rho, k) for each skip chain of five lists: the chain; the
     chain with two letters before its end swapped; a seeded random distinct
@@ -755,9 +780,8 @@ class TestSampled:
             12, 10, 8, 3, 14, 9, 7, 5, 1, 13, 4, 2, 11, 6,
         )
         assert report.stats["permutations_checked"] == 138_595
-        report = verify_supersequence_sampled(
-            word, 14, 300_000, seed=2, extra=adversarial_permutations(3, 13)
-        )
+        extra = adversarial_permutations(generate(3, 13))
+        report = verify_supersequence_sampled(word, 14, 300_000, 2, extra)
         assert report.witness.permutation == tuple(range(13, 0, -1)) + (14,)
         assert report.stats["permutations_checked"] == 2
 
@@ -950,7 +974,7 @@ class TestSampled:
             word[:65] + word[66:],
             word[:43] + word[44:128] + word[129:],
         ]
-        extra = adversarial_permutations(3, 13)
+        extra = adversarial_permutations(generate(3, 13))
 
         def triples():
             for w in words:
@@ -1041,7 +1065,7 @@ class TestSampled:
     def test_no_thread_outlives_the_call(self, monkeypatch):
         word = build_supersequence(gen_ts(3, 13)).word
         damaged = word[:43] + word[44:128] + word[129:]
-        extra = adversarial_permutations(3, 13)
+        extra = adversarial_permutations(generate(3, 13))
         before = threading.active_count()
         assert verify_supersequence_sampled(word, 14, 100_000, 1).passed
         assert threading.active_count() == before
@@ -1204,7 +1228,7 @@ class TestAdversarial:
     )
     def test_family_pinned(self, s, n, digest):
         # the family must stay bit-identical: sha256 of its repr, 16 hex digits
-        family = adversarial_permutations(s, n)
+        family = adversarial_permutations(generate(s, n))
         assert hashlib.sha256(repr(family).encode()).hexdigest()[:16] == digest
 
     def test_chains_match_skip_chain_rho(self):
@@ -1216,20 +1240,64 @@ class TestAdversarial:
                 for k in glist.skip_indices()
                 for a in range(n - s + 2, n + 1)
             ]
-            family = adversarial_permutations(s, n)
+            family = adversarial_permutations(glist)
             assert family[m + 1 :] == [
                 tuple(x for x in range(1, m + 1) if x not in chain) + chain
                 for chain in chains
             ]
 
+    def test_dead_chains_match_naive(self):
+        # No chain down a built list dies before sigma_2, so each list is
+        # edited at a chain step whose M_j has one member, prev, which the
+        # chain picks wherever it lies in sigma_{j-1}: moving prev to the end
+        # of sigma_{j-1} empties M_{j-1}, and deleting it there stops the
+        # walk at sigma_{j-1}.  The edited lists keep their case tags.
+        reasons = collections.Counter()
+        for s, n in [(3, 13), (4, 24)]:
+            glist = generate(s, n)
+            chains = [
+                (k, last)
+                for k in glist.skip_indices()
+                for last in range(n - s + 2, n + 1)
+            ]
+            for k, last in chains:
+                trace = trace_m_sets(glist, skip_chain_rho(glist, k, last), k)
+                step = next(
+                    ((j, m_set) for j, m_set in trace.steps
+                     if len(m_set) == 1 and j > 2),
+                    None,
+                )
+                if step is None:
+                    continue
+                j, (prev,) = step[0], tuple(step[1])
+                rest = tuple(a for a in glist.seq(j - 1) if a != prev)
+                for sigma in (rest + (prev,), rest):
+                    sequences = list(glist.sequences)
+                    sequences[j - 2] = sigma
+                    cut = dataclasses.replace(
+                        glist, sequences=tuple(sequences)
+                    )
+                    expected = [naive_skip_chain(cut, *c) for c in chains]
+                    rho, reason = expected[chains.index((k, last))]
+                    assert reason == ("empty" if prev in sigma else "absent")
+                    reasons[reason] += 1
+                    assert skip_chain_rho(cut, k, last) == rho
+                    m = n + 1
+                    assert adversarial_permutations(cut)[m + 1 :] == [
+                        tuple(x for x in range(1, m + 1) if x not in chain)
+                        + chain
+                        for chain, _ in expected
+                    ]
+        assert reasons["empty"] == reasons["absent"] > 0, reasons
+
     def test_family_is_deterministic_and_finite(self):
-        fam1 = adversarial_permutations(3, 13)
-        fam2 = adversarial_permutations(3, 13)
+        fam1 = adversarial_permutations(generate(3, 13))
+        fam2 = adversarial_permutations(generate(3, 13))
         assert fam1 == fam2
         assert all(sorted(p) == list(range(1, 15)) for p in fam1)
 
     def test_contains_reversal_with_new_letter_last(self):
-        fam = adversarial_permutations(3, 13)
+        fam = adversarial_permutations(generate(3, 13))
         assert tuple(range(13, 0, -1)) + (14,) in fam
 
     def test_chain_matches_worked_recursion(self):
