@@ -6,13 +6,13 @@ ints with a bit per letter set, the sets all of whose orderings are
 subsequences of the prefix read (completeness runs it once per direction
 for all prefix or suffix depths); the shortest-length oracle searches
 breadth-first over the states of the same pass; sampled checks match
-seeded random permutations in fixed-size batches against the dense or,
-for long words, the segmented next-occurrence table, so their memory is
-bounded by one cell budget whatever the word's length, and draw each
-batch on a worker thread while the one before it is matched; and the
-quasi-palindrome bijection is reconstructed position by position from
-the concatenation.  Only the sampled checks use numpy, and they import it
-on their first call, so that the other checks never load it.
+seeded random permutations in batches of at most 4096 rows against the
+dense or, for long words, the segmented next-occurrence table, so their
+memory is bounded by one cell budget whatever the word's length, and
+draw each batch on a worker thread while the one before it is matched;
+and the quasi-palindrome bijection is reconstructed position by position
+from the concatenation.  Only the sampled checks use numpy, and they
+import it on their first call, so that the other checks never load it.
 """
 
 from __future__ import annotations
@@ -51,9 +51,14 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 25
 
 # Cells that the two batch buffers of sampled permutations together
-# (int64, 8 MiB each) or the dense next-occurrence table (int32, 8 MiB)
-# may hold.
+# (int64) or the dense next-occurrence table (int32, 8 MiB) may hold.
 _CELL_BUDGET = 1 << 21
+
+# Rows in a sampled batch, within the budget (which is smaller from
+# m = 257 on): the draw costs the same per letter at any batch size, so
+# larger batches only hold more memory, while 2048-row ones ran slower
+# at m = 25 with worker and caller on one core (x86-64, numpy 2.4).
+_ROWS = 4096
 
 # Columns matched between two checks of whether a batch's first row has
 # already failed.
@@ -395,13 +400,14 @@ def verify_supersequence_sampled(
     changes neither them nor the witness nor ``permutations_checked``.
 
     Memory is bounded by `_CELL_BUDGET`, 2**21 cells, which m may not
-    exceed: permutations are matched in batches of budget // (2m) rows
-    (one row above m = 2**20, at most 2m cells in all), drawn alternately
-    into two buffers, and the dense table is built only when its
-    (L+2)·(m+1) cells fit the budget; a longer word is matched on the
-    segmented table. One worker thread draws every batch, in order, while
-    the caller matches the one before it (the first while `extra` is
-    matched); it is joined before the call returns.
+    exceed: permutations are matched in batches of at most `_ROWS` (4096)
+    and budget // (2m) rows (one row above m = 2**20, at most 2m cells in
+    all), drawn alternately into two buffers, and the dense table is built
+    only when its (L+2)·(m+1) cells fit the budget; a longer word is
+    matched on the segmented table. One worker thread draws every batch,
+    in order, while the caller matches the one before it (the first while
+    `extra` is matched); each draw is queued before the caller waits for
+    the one before it, and all are joined before the call returns.
     """
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
@@ -427,7 +433,7 @@ def verify_supersequence_sampled(
 
     start = time.perf_counter()
     table = NextOccurrenceTable(word, m)
-    rows = min(max(1, _CELL_BUDGET // (2 * m)), max(count, len(extra)))
+    rows = min(_ROWS, max(1, _CELL_BUDGET // (2 * m)), max(count, len(extra)))
     dense = (len(table.word) + 2) * (m + 1) <= _CELL_BUDGET
     matcher = _Matcher(table, rows, dense)
     rng = np.random.default_rng(seed)
@@ -443,17 +449,18 @@ def verify_supersequence_sampled(
         return batch
 
     def batches(pool):
-        pending = pool.submit(draw, 0)
+        # each draw is queued before the wait, so the worker never idles
+        pending = [pool.submit(draw, 0)]
         try:
             for lo in range(0, len(extra), rows):
                 yield family[lo : lo + rows]
             for lo in range(rows, count + rows, rows):
-                batch = pending.result()
                 if lo < count:
-                    pending = pool.submit(draw, lo)
-                yield batch
+                    pending.append(pool.submit(draw, lo))
+                yield pending.pop(0).result()
         finally:
-            pending.result()  # a draw left over by a failure still raises
+            for draw_left in pending:  # a draw left by a failure still raises
+                draw_left.result()
 
     checked, witness = 0, None
     with ThreadPoolExecutor(1) as pool, closing(batches(pool)) as stream:

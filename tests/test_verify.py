@@ -43,7 +43,8 @@ from skipseq.verify import (
 ROOT = Path(__file__).resolve().parent.parent
 
 # the seeded stream of verify_supersequence_sampled(word, 25, count,
-# seed=11) at 0-based indices 83 885 and 83 886
+# seed=11) at 0-based indices 83 885 and 83 886, the boundary of the
+# second and third batches when a batch held budget // 2m = 41 943 rows
 M25_SEED11_LAST_OF_BATCH = (
     11, 16, 13, 18, 5, 23, 15, 6, 10, 1, 20, 25, 17, 3, 21, 2, 24, 22, 9, 14,
     12, 7, 19, 4, 8,
@@ -52,7 +53,8 @@ M25_SEED11_FIRST_OF_NEXT = (
     10, 13, 3, 2, 24, 7, 14, 5, 4, 20, 23, 17, 15, 9, 21, 8, 16, 11, 25, 18,
     19, 1, 6, 22, 12,
 )
-# ... and at 0-based indices 41 942 and 41 943
+# ... at 0-based indices 41 942 and 41 943, the boundary of the first
+# and second such batches
 M25_SEED11_LAST_OF_HALF = (
     10, 1, 21, 3, 24, 7, 9, 18, 14, 22, 11, 6, 23, 17, 19, 4, 20, 8, 13, 2,
     15, 16, 25, 12, 5,
@@ -60,6 +62,24 @@ M25_SEED11_LAST_OF_HALF = (
 M25_SEED11_FIRST_OF_NEXT_HALF = (
     3, 16, 24, 4, 9, 22, 6, 15, 2, 14, 5, 18, 10, 17, 19, 8, 25, 23, 20, 12,
     7, 11, 21, 13, 1,
+)
+# ... and at 0-based indices 4095, 4096, 8191 and 8192, the boundaries of
+# the first three batches of _ROWS = 4096 rows
+M25_SEED11_LAST_OF_CAP = (
+    4, 12, 11, 9, 2, 17, 3, 22, 1, 24, 16, 10, 25, 13, 20, 6, 23, 7, 19, 8,
+    15, 18, 5, 21, 14,
+)
+M25_SEED11_FIRST_OF_NEXT_CAP = (
+    23, 13, 22, 15, 2, 1, 10, 19, 25, 18, 20, 21, 4, 12, 17, 9, 6, 8, 7, 14,
+    11, 24, 3, 5, 16,
+)
+M25_SEED11_LAST_OF_2CAP = (
+    5, 3, 21, 19, 25, 16, 11, 17, 7, 24, 2, 20, 22, 15, 12, 1, 9, 23, 6, 14,
+    18, 8, 4, 10, 13,
+)
+M25_SEED11_FIRST_OF_NEXT_2CAP = (
+    7, 6, 22, 9, 14, 20, 24, 8, 4, 15, 23, 10, 19, 5, 1, 17, 12, 16, 13, 21,
+    11, 18, 3, 25, 2,
 )
 
 # the witness of the 573-letter word over 25 letters with its letter at
@@ -804,12 +824,40 @@ class TestSampled:
         head = len(word) - cut
         word = word[:head] + tuple(a for a in word[head:] if a != letter)
         assert ((len(word) + 2) * (m + 1) <= verify._CELL_BUDGET) == dense
-        assert checked > 2 * (verify._CELL_BUDGET // m)
+        assert checked > 2 * min(verify._ROWS, verify._CELL_BUDGET // (2 * m))
         report = verify_supersequence_sampled(word, m, 100_000, seed=7)
         assert report.stats["permutations_checked"] == checked
         perm = report.witness.permutation
         assert hashlib.sha256(repr(perm).encode()).hexdigest()[:16] == digest
         assert not is_subsequence(perm, word)
+
+    def test_reject_stops_within_two_batches(self, monkeypatch):
+        # The m = 99 word with letter 17 deleted from its second half fails
+        # at random permutation 86, so only the batch queued while the
+        # first is matched is drawn past it: two batches of _ROWS rows,
+        # where budget // 2m = 10 591-row batches drew 21 182. The witness
+        # and count were recorded from that implementation.
+        word = build_supersequence(generate(3, 98)).word
+        half = len(word) // 2
+        word = word[:half] + tuple(a for a in word[half:] if a != 17)
+        default_rng = np.random.default_rng
+        drawn = []
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def permuted(self, batch, *args, **kwargs):
+                drawn.append(len(batch))
+                return self.rng.permuted(batch, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        report = verify_supersequence_sampled(word, 99, 100_000, seed=7)
+        assert report.stats["permutations_checked"] == 86
+        perm = report.witness.permutation
+        digest = hashlib.sha256(repr(perm).encode()).hexdigest()[:16]
+        assert digest == "aa0dc4a28340e93a"
+        assert sum(drawn) <= 2 * verify._ROWS
 
     @pytest.mark.parametrize(
         "perm, count, checked, fails",
@@ -826,26 +874,45 @@ class TestSampled:
             (M25_SEED11_FIRST_OF_NEXT_HALF, 41_942, 41_942, False),
             (M25_SEED11_FIRST_OF_NEXT_HALF, 41_943, 41_943, False),
             (M25_SEED11_FIRST_OF_NEXT_HALF, 41_944, 41_944, True),
+            (M25_SEED11_LAST_OF_CAP, 4095, 4095, False),
+            (M25_SEED11_LAST_OF_CAP, 4096, 4096, True),
+            (M25_SEED11_LAST_OF_CAP, 4097, 4096, True),
+            (M25_SEED11_FIRST_OF_NEXT_CAP, 4095, 4095, False),
+            (M25_SEED11_FIRST_OF_NEXT_CAP, 4096, 4096, False),
+            (M25_SEED11_FIRST_OF_NEXT_CAP, 4097, 4097, True),
+            (M25_SEED11_LAST_OF_2CAP, 8191, 8191, False),
+            (M25_SEED11_LAST_OF_2CAP, 8192, 8192, True),
+            (M25_SEED11_LAST_OF_2CAP, 8193, 8192, True),
+            (M25_SEED11_FIRST_OF_NEXT_2CAP, 8191, 8191, False),
+            (M25_SEED11_FIRST_OF_NEXT_2CAP, 8192, 8192, False),
+            (M25_SEED11_FIRST_OF_NEXT_2CAP, 8193, 8193, True),
         ],
         ids=["last-rows-1", "last-rows", "last-rows+1",
              "next-rows-1", "next-rows", "next-rows+1",
              "last-half-1", "last-half", "last-half+1",
-             "next-half-1", "next-half", "next-half+1"],
+             "next-half-1", "next-half", "next-half+1",
+             "last-cap-1", "last-cap", "last-cap+1",
+             "next-cap-1", "next-cap", "next-cap+1",
+             "last-2cap-1", "last-2cap", "last-2cap+1",
+             "next-2cap-1", "next-2cap", "next-2cap+1"],
     )
     def test_batch_boundary_replays_pinned_values(
         self, perm, count, checked, fails
     ):
         # The reversal of a permutation repeated m - 1 times contains every
         # other permutation, so the word fails exactly at that permutation
-        # of the seeded stream. Batches hold budget // 2m = 41 943 rows at
-        # m = 25: the "half" permutations are the last of the first batch
-        # and the first of the second, the others the last of the second
-        # and the first of the third, which reuses the first buffer; count
-        # runs over one less, equal and one more. The first six values
-        # were recorded from the implementation that drew 100 000-row
-        # batches with np.tile, the last six from one that drew 83 886-row
-        # batches into one buffer.
-        assert verify._CELL_BUDGET // 50 == 41_943
+        # of the seeded stream. Batches hold _ROWS = 4096 rows at m = 25:
+        # the "cap" permutations are the last of the first batch and the
+        # first of the second, the "2cap" ones the last of the second and
+        # the first of the third, which reuses the first buffer; count runs
+        # over one less than, equal to and one more than the boundary
+        # between the two. The "rows" and "half" permutations pin the
+        # stream where earlier 41 943-row batches met, now inside a batch.
+        # The "rows" values were recorded from the implementation that drew
+        # 100 000-row batches with np.tile, the "half" ones from one that
+        # drew 83 886-row batches into one buffer, the "cap" ones from one
+        # that drew 41 943-row batches.
+        assert min(verify._ROWS, verify._CELL_BUDGET // 50) == 4096
         word = tuple(reversed(perm)) * 24
         report = verify_supersequence_sampled(word, 25, count, seed=11)
         assert report.stats["permutations_checked"] == checked
@@ -854,7 +921,7 @@ class TestSampled:
             assert report.witness.permutation == perm
 
     def test_pass_counts_every_batch(self):
-        # five batches at m = 25: four of 41 943 rows and one of 1
+        # 41 batches at m = 25: forty of 4096 rows and one of 3933
         word = build_supersequence(gen_ts(4, 24)).word
         report = verify_supersequence_sampled(word, 25, 167_773, seed=11)
         assert report.passed
@@ -959,15 +1026,18 @@ class TestSampled:
         assert digest == "ad5f2e94f6f64d93"
 
     @pytest.mark.parametrize(
-        "budget", [28, 56, 196, verify._CELL_BUDGET],
-        ids=["1-row", "2-rows", "7-rows", "default"],
+        "budget, rows",
+        [(28, None), (56, None), (196, None), (verify._CELL_BUDGET, 100),
+         (verify._CELL_BUDGET, None), (verify._CELL_BUDGET, 1 << 20)],
+        ids=["1-row", "2-rows", "7-rows", "100-rows", "default", "one-batch"],
     )
-    def test_batch_size_changes_nothing(self, budget, monkeypatch):
+    def test_batch_size_changes_nothing(self, budget, rows, monkeypatch):
         # A draw into the buffer still being matched, or out of stream
         # order, would change some triple at some batch size. The damaged
         # words fail in the family (at its second row) and at random
-        # permutation 591; the budgets give m = 14 batches of 1, 2, 7 and
-        # all 3017 rows.
+        # permutation 591; the budgets give m = 14 batches of 1, 2 and 7
+        # rows, and _ROWS caps them at 100, at 4096 by default or at
+        # 2**20, which holds all 3017 rows in one batch.
         word = build_supersequence(gen_ts(3, 13)).word
         words = [
             word,
@@ -986,6 +1056,8 @@ class TestSampled:
         expected = list(triples())
         assert [t[2] for t in expected] == [3000, 3017, 3000, 2, 591, 608]
         monkeypatch.setattr(verify, "_CELL_BUDGET", budget)
+        if rows:
+            monkeypatch.setattr(verify, "_ROWS", rows)
         assert list(triples()) == expected
 
     def test_concurrent_calls_replay(self, monkeypatch):
@@ -1085,7 +1157,7 @@ class TestSampled:
 
         # An exception raised by a draw reaches the caller, also from the
         # second batch, which the failure in the first leaves unmatched
-        # (two batches of budget // 28 rows).
+        # (two batches of min(_ROWS, budget // 28) rows).
         default_rng = np.random.default_rng
 
         class Broken:
@@ -1099,7 +1171,7 @@ class TestSampled:
                     raise RuntimeError(f"draw {self.draws} failed")
                 return self.rng.permuted(*args, **kwargs)
 
-        assert 591 < verify._CELL_BUDGET // 28 < 100_000
+        assert 591 < min(verify._ROWS, verify._CELL_BUDGET // 28) < 100_000
         for fail_at, w in ((1, word), (2, damaged)):
             monkeypatch.setattr(
                 np.random, "default_rng",
@@ -1113,8 +1185,9 @@ class TestSampled:
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
     def test_m25_cli_peak_rss(self, child_report):
-        # the benchmark's proof-route run: two 8 MiB batch buffers, the
-        # 573-letter word's dense table and the adversarial family
+        # the benchmark's proof-route run: two 0.8 MiB batch buffers of
+        # _ROWS rows, the 573-letter word's dense table and the adversarial
+        # family
         out = child_report(
             "import contextlib, io\n"
             "from skipseq import cli\n"
@@ -1124,7 +1197,7 @@ class TestSampled:
             "print('code', code)\n"
         )
         assert out["code"] == "0"
-        assert int(out["hwm"]) < 64 * 1024
+        assert int(out["hwm"]) < 48 * 1024
 
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
@@ -1156,7 +1229,7 @@ class TestSampled:
     def test_m299_segmented_peak_rss(self, child_report):
         # At m = 299 the dense table does not fit the cell budget, so the
         # CLI matches on the segmented table (about 1 MiB) in batches of
-        # budget // 2m rows.
+        # budget // 2m = 3507 rows, fewer than _ROWS.
         out = child_report(
             "import contextlib, io\n"
             "from skipseq import cli\n"
