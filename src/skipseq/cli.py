@@ -95,15 +95,15 @@ def _witness_payload(report: verify.VerificationReport) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    glist = None  # generated once, for the word or only for the family
     if args.word is not None:
         word = _parse_word(args.word)
     elif args.word_file is not None:
         with open(args.word_file) as fh:
             word = _parse_word(fh.read())
     elif args.s is not None and args.n is not None:
-        glist = construct.generate(args.s, args.n)
-        word = construct.build_supersequence(glist).word
+        word = construct.build_supersequence(
+            construct.generate(args.s, args.n)
+        ).word
     else:
         raise ValidationError("supply --word, --word-file, or --s with --n")
     if args.m is None and not word:
@@ -113,10 +113,7 @@ def _cmd_verify(args) -> int:
         seed = args.seed if args.seed is not None else secrets.randbits(32)
         extra: list[tuple[int, ...]] = []
         if args.s is not None and args.n is not None and m == args.n + 1:
-            if glist is None:
-                glist = construct.generate(args.s, args.n)
-            extra = verify.adversarial_permutations(glist)
-        del glist  # held while matching, it adds 4 MiB to the m = 1000 peak
+            extra = verify.adversarial_permutations(m)
         report = verify.verify_supersequence_sampled(
             word, m, args.count, seed, extra
         )

@@ -543,24 +543,7 @@ def skip_chain_rho(
     Once the chain dies the front is padded with unused letters ascending.
     """
     _check_chain_end(glist, k, last)
-    return _skip_chain(glist, _positions(glist), k, last)
-
-
-def _check_chain_end(
-    glist: GeneratedList, k: int, last: Optional[int]
-) -> None:
-    """Reject k unless a skip index, and `last` unless a skip letter."""
-    if glist.tag(k) != TAG_SKIP:
-        raise ValueError(f"k={k} is not a skip-sequence index")
-    if last not in skip_letters(glist.s, glist.n):
-        raise ValueError(f"rho[{k}]={last} is not a skip letter")
-
-
-def _skip_chain(
-    glist: GeneratedList, pos: list[list[int]], k: int, last: int
-) -> tuple[int, ...]:
-    """skip_chain_rho over the _positions maps, which chains of one list
-    share."""
+    pos = _positions(glist)
     chain = [last]  # rho[k], rho[k-1], ...
     used = {last}  # M_idx never holds prev, the letter it follows
     for idx in range(k - 1, 1, -1):
@@ -577,6 +560,16 @@ def _skip_chain(
     return tuple(pad[: k - len(chain)] + chain[::-1])
 
 
+def _check_chain_end(
+    glist: GeneratedList, k: int, last: Optional[int]
+) -> None:
+    """Reject k unless a skip index, and `last` unless a skip letter."""
+    if glist.tag(k) != TAG_SKIP:
+        raise ValueError(f"k={k} is not a skip-sequence index")
+    if last not in skip_letters(glist.s, glist.n):
+        raise ValueError(f"rho[{k}]={last} is not a skip letter")
+
+
 def _m_set(
     glist: GeneratedList, pos: list[list[int]], idx: int, prev: int,
     removed: set[int],
@@ -589,25 +582,15 @@ def _m_set(
     return [a for a in glist.sequences[idx - 1][at + 1 :] if a not in removed]
 
 
-def adversarial_permutations(glist: GeneratedList) -> list[tuple[int, ...]]:
-    """Deterministic stress family of permutations over {1..n+1} for the
-    word interposed from glist: identity, reversal-then-new-letter, all
-    rotations, and max-occupancy skip chains ending in each skip letter."""
-    s, n = glist.s, glist.n
-    m = n + 1
+def adversarial_permutations(m: int) -> list[tuple[int, ...]]:
+    """Deterministic stress family of m + 1 permutations over {1..m}: the
+    identity, the reversal of 1..m-1 followed by m, and the m - 1
+    rotations of the identity."""
+    if m < 1:
+        raise ValueError(f"alphabet size m={m} must be at least 1")
     identity = tuple(range(1, m + 1))
-    family: list[tuple[int, ...]] = [identity]
-    family.append(tuple(range(n, 0, -1)) + (m,))
-    for r in range(1, m):
-        family.append(identity[r:] + identity[:r])
-    if s >= 2:
-        pos = _positions(glist)
-        for k in glist.skip_indices():
-            for a in skip_letters(s, n):
-                chain = _skip_chain(glist, pos, k, a)
-                in_chain = set(chain)
-                pad = tuple(x for x in range(1, m + 1) if x not in in_chain)
-                family.append(pad + chain)
+    family = [identity, tuple(range(m - 1, 0, -1)) + (m,)]
+    family.extend(identity[r:] + identity[:r] for r in range(1, m))
     return family
 
 

@@ -165,7 +165,7 @@ def test_criterion_9_sampled_and_m_set_bound():
     for s, n in [(3, 13), (3, 18), (4, 24)]:
         glist = generate(s, n)
         word = build_supersequence(glist)
-        extra = adversarial_permutations(glist)
+        extra = adversarial_permutations(word.m)
         report = verify_supersequence_sampled(
             word.word, word.m, 10**6, seed=2024, extra=extra
         )
