@@ -111,11 +111,8 @@ def _cmd_verify(args) -> int:
     m = args.m if args.m is not None else max(word)
     if args.sampled:
         seed = args.seed if args.seed is not None else secrets.randbits(32)
-        extra: list[tuple[int, ...]] = []
-        if args.s is not None and args.n is not None and m == args.n + 1:
-            extra = verify.adversarial_permutations(m)
         report = verify.verify_supersequence_sampled(
-            word, m, args.count, seed, extra
+            word, m, args.count, seed, verify.adversarial_permutations(m)
         )
     else:
         report = verify.verify_supersequence_exhaustive(word, m)

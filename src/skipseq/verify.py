@@ -91,8 +91,8 @@ class VerificationReport:
 class BijectionReport:
     found: bool
     mapping: Optional[dict[int, int]] = None
-    involution: bool = False
     conflict: Optional[tuple[int, int]] = None  # first conflicting positions
+    involution = property(lambda self: self.found)  # phi maps b back to a
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def quasi_palindrome(sequences: Seq[Seq[int]]) -> BijectionReport:
     lengths = [len(seq) for seq in sequences]
     if lengths != lengths[::-1]:
         return BijectionReport(False)
-    return BijectionReport(True, mapping, True)
+    return BijectionReport(True, mapping)
 
 
 def verify_supersequence_exhaustive(
@@ -384,6 +384,14 @@ class _Matcher:
         return int(bad[0]) if len(bad) else -1
 
 
+def _check_sampled_alphabet(m: int) -> None:
+    """Reject m outside 1.._CELL_BUDGET, the alphabets a sampled row fits."""
+    if m < 1:
+        raise ValueError(f"alphabet size m={m} must be at least 1")
+    if m > _CELL_BUDGET:
+        raise ValueError(f"m={m} exceeds the sampled ceiling {_CELL_BUDGET}")
+
+
 def verify_supersequence_sampled(
     word: Seq[int],
     m: int,
@@ -409,10 +417,7 @@ def verify_supersequence_sampled(
     `extra` is matched); each draw is queued before the caller waits for
     the one before it, and all are joined before the call returns.
     """
-    if m < 1:
-        raise ValueError(f"alphabet size m={m} must be at least 1")
-    if m > _CELL_BUDGET:
-        raise ValueError(f"m={m} exceeds the sampled ceiling {_CELL_BUDGET}")
+    _check_sampled_alphabet(m)
     if count < 1:
         raise ValueError("count must be >= 1")
     if seed < 0:
@@ -583,15 +588,12 @@ def _m_set(
 
 
 def adversarial_permutations(m: int) -> list[tuple[int, ...]]:
-    """Deterministic stress family of m + 1 permutations over {1..m}: the
-    identity, the reversal of 1..m-1 followed by m, and the m - 1
-    rotations of the identity."""
-    if m < 1:
-        raise ValueError(f"alphabet size m={m} must be at least 1")
-    identity = tuple(range(1, m + 1))
-    family = [identity, tuple(range(m - 1, 0, -1)) + (m,)]
-    family.extend(identity[r:] + identity[:r] for r in range(1, m))
-    return family
+    """The stress family of the sampled check: one row, the reversal of
+    1..m-1 followed by m.  It is the tight row: in a built word
+    m·σ_1·m·…·σ_n·m its greedy embedding ends on the last letter, while
+    the identity's ends by letter m + 1 and each rotation's by 2m - 1."""
+    _check_sampled_alphabet(m)
+    return [tuple(range(m - 1, 0, -1)) + (m,)]
 
 
 def shortest_supersequence_oracle(m: int) -> tuple[int, tuple[int, ...]]:

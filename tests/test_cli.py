@@ -299,8 +299,9 @@ class TestVerify:
 
 
 class TestVerifyFamily:
-    """verify --sampled also checks the adversarial family over {1..m}
-    when --s and --n are given and name the word's alphabet (m == n + 1)."""
+    """verify --sampled checks the adversarial family over {1..m}, the
+    reversal of 1..m-1 followed by m, before the random permutations,
+    whatever gave the word; --s and --n next to --word are ignored."""
 
     SAMPLED = ("--sampled", "--count", "2000", "--seed", "42")
 
@@ -337,18 +338,14 @@ class TestVerifyFamily:
         assert generate_calls == [(3, 13)]
 
     def test_word_with_s_and_n_gets_the_family(self, capsys, generate_calls):
-        family = len(adversarial_permutations(14))
         word = ",".join(map(str, build_supersequence(generate(3, 13)).word))
         generate_calls.clear()
-        _, checked, _ = self.checked(
-            capsys, "--word", word, "--s", "3", "--n", "13", *self.SAMPLED
-        )
-        assert checked == 2000 + family
+        for given in (("--s", "3", "--n", "13"), ("--m", "14"), ()):
+            _, checked, _ = self.checked(
+                capsys, "--word", word, *given, *self.SAMPLED
+            )
+            assert checked == 2001
         assert generate_calls == []
-        _, checked, _ = self.checked(
-            capsys, "--word", word, "--m", "14", *self.SAMPLED
-        )
-        assert checked == 2000
         # the exhaustive check needs no list
         code, _, _ = run(
             capsys, "verify", "--word", word, "--s", "3", "--n", "13",
@@ -357,17 +354,24 @@ class TestVerifyFamily:
         assert code == 0
         assert generate_calls == []
 
+    def test_word_prints_what_its_generated_run_prints(self, capsys):
+        word = ",".join(map(str, build_supersequence(generate(3, 13)).word))
+        argv = ("verify", *self.SAMPLED, "--format", "json")
+        given = run(capsys, *argv, "--word", word, "--m", "14")
+        generated = run(capsys, *argv, "--s", "3", "--n", "13")
+        assert given == generated
+        assert json.loads(given[1])["stats"]["permutations_checked"] == 2001
+
     def test_deletion_fails_on_the_family_reversal(self, capsys):
         word = build_supersequence(generate(3, 13)).word
         assert word[13] == 13  # the 13 that ends sigma_1
         cut = ",".join(map(str, word[:13] + word[14:]))
         code, checked, payload = self.checked(
-            capsys, "--word", cut, "--s", "3", "--n", "13", "--sampled",
-            "--seed", "1",
+            capsys, "--word", cut, "--m", "14", "--sampled", "--seed", "1",
         )
         assert code == 1
         assert payload["witness"] == list(range(13, 0, -1)) + [14]
-        assert checked == 2
+        assert checked == 1
 
 
 class TestAnalyze:

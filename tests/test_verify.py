@@ -90,6 +90,13 @@ M25_DELETION_WITNESS = (
     11, 10, 9, 8, 7, 6,
 )
 
+# 15 rows over {1..14} for the multi-row `extra` pins below, recorded with
+# them: the identity, the reversal of 1..13 followed by 14, then the 13
+# rotations of the identity
+EXTRA_14 = [tuple(range(1, 15)), tuple(range(13, 0, -1)) + (14,)] + [
+    tuple(range(r, 15)) + tuple(range(1, r)) for r in range(2, 15)
+]
+
 
 def naive_least_missing(word, n, k):
     """Lexicographically least distinct-letter k-sequence over 1..n that is
@@ -495,11 +502,12 @@ class TestQuasiPalindrome:
                 for seq in reversed(sequences)
             ]
         report = quasi_palindrome(sequences)
+        assert report.involution == report.found
         if not report.found:
             return
         phi = report.mapping
         word = [a for seq in sequences for a in seq]
-        assert report.involution and report.conflict is None
+        assert report.conflict is None
         assert set(phi) == set(word)
         assert len(set(phi.values())) == len(phi)
         assert all(phi[phi[a]] == a for a in phi)
@@ -800,8 +808,7 @@ class TestSampled:
             12, 10, 8, 3, 14, 9, 7, 5, 1, 13, 4, 2, 11, 6,
         )
         assert report.stats["permutations_checked"] == 138_595
-        extra = adversarial_permutations(14)
-        report = verify_supersequence_sampled(word, 14, 300_000, 2, extra)
+        report = verify_supersequence_sampled(word, 14, 300_000, 2, EXTRA_14)
         assert report.witness.permutation == tuple(range(13, 0, -1)) + (14,)
         assert report.stats["permutations_checked"] == 2
 
@@ -1034,7 +1041,7 @@ class TestSampled:
     def test_batch_size_changes_nothing(self, budget, rows, monkeypatch):
         # A draw into the buffer still being matched, or out of stream
         # order, would change some triple at some batch size. The damaged
-        # words fail in the family (at its second row) and at random
+        # words fail in EXTRA_14 (at its second row) and at random
         # permutation 591; the budgets give m = 14 batches of 1, 2 and 7
         # rows, and _ROWS caps them at 100, at 4096 by default or at
         # 2**20, which holds all 3015 rows in one batch.
@@ -1044,11 +1051,10 @@ class TestSampled:
             word[:65] + word[66:],
             word[:43] + word[44:128] + word[129:],
         ]
-        extra = adversarial_permutations(14)
 
         def triples():
             for w in words:
-                for family in ((), extra):
+                for family in ((), EXTRA_14):
                     r = verify_supersequence_sampled(w, 14, 3000, 5, family)
                     witness = r.witness and r.witness.permutation
                     yield r.verdict, witness, r.stats["permutations_checked"]
@@ -1137,13 +1143,12 @@ class TestSampled:
     def test_no_thread_outlives_the_call(self, monkeypatch):
         word = build_supersequence(gen_ts(3, 13)).word
         damaged = word[:43] + word[44:128] + word[129:]
-        extra = adversarial_permutations(14)
         before = threading.active_count()
         assert verify_supersequence_sampled(word, 14, 100_000, 1).passed
         assert threading.active_count() == before
-        # a failure in the family, while the first batch is being drawn
+        # a failure in `extra`, while the first batch is being drawn
         report = verify_supersequence_sampled(
-            word[:65] + word[66:], 14, 100_000, 1, extra
+            word[:65] + word[66:], 14, 100_000, 1, EXTRA_14
         )
         assert report.stats["permutations_checked"] == 2
         assert threading.active_count() == before
@@ -1178,7 +1183,7 @@ class TestSampled:
                 lambda seed: Broken(seed, fail_at),
             )
             with pytest.raises(RuntimeError, match=f"draw {fail_at} failed"):
-                verify_supersequence_sampled(w, 14, 100_000, 5, extra)
+                verify_supersequence_sampled(w, 14, 100_000, 5, EXTRA_14)
             assert threading.active_count() == before
 
     @pytest.mark.skipif(
@@ -1267,8 +1272,8 @@ class TestSampled:
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
     def test_m1000_cli_sampled_time_and_peak_rss(self, child_report):
-        # the CLI run also builds and checks the adversarial family of
-        # m = 1000, 1001 rows
+        # the CLI run also builds the word and checks the adversarial
+        # family of m = 1000, one row
         out = child_report(
             "import contextlib, io, time\n"
             "from skipseq import cli\n"
@@ -1281,29 +1286,57 @@ class TestSampled:
         )
         assert out["code"] == "0"
         assert float(out["elapsed"]) < 5.0
-        assert int(out["hwm"]) < 128 * 1024
+        assert int(out["hwm"]) < 112 * 1024
 
 
 class TestAdversarial:
+    # built words at levels 1..4 with their alphabet sizes m, which is
+    # also how many of their single deletions the family catches
+    BUILT = [
+        (1, 13, 14), (2, 12, 13), (3, 13, 14), (2, 15, 16), (3, 18, 19),
+        (4, 24, 25),
+    ]
+
     @pytest.mark.parametrize(
         "m", [1, 2, 13, 14, 21, 25, 40, 48, 99, 299, 1000]
     )
     def test_family_pinned(self, m):
-        # m + 1 rows, so m = 1 gives (1,) twice
-        identity = tuple(range(1, m + 1))
-        rotations = [identity[r:] + identity[:r] for r in range(1, m)]
-        expected = [identity, tuple(range(m - 1, 0, -1)) + (m,), *rotations]
+        # one row, so m = 1 gives [(1,)]
+        expected = [tuple(range(m - 1, 0, -1)) + (m,)]
         assert adversarial_permutations(m) == expected
 
     def test_family_rejects_empty_alphabet(self):
-        with pytest.raises(ValueError, match="m=0"):
+        with pytest.raises(ValueError, match="^alphabet size m=0 must be"):
             adversarial_permutations(0)
 
-    @pytest.mark.parametrize("s, n, caught", [(3, 13, 14), (4, 24, 25)])
+    def test_family_rejects_alphabet_past_ceiling(self, monkeypatch):
+        # checked before the row is built: at a budget of 28 cells m = 29
+        # is rejected too, so a family built before the check fails here
+        # rather than at 2**21 + 1 letters
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_CELL_BUDGET", 28)
+            with pytest.raises(ValueError, match="^m=29 exceeds the sampled"):
+                adversarial_permutations(29)
+        with pytest.raises(
+            ValueError, match="^m=2097153 exceeds the sampled ceiling 2097152$"
+        ):
+            adversarial_permutations(2**21 + 1)
+
+    @pytest.mark.parametrize("s, n, m", BUILT)
+    def test_family_row_is_tight(self, s, n, m):
+        # its greedy embedding ends on the word's last letter
+        word = build_supersequence(generate(s, n)).word
+        (row,) = adversarial_permutations(m)
+        end = 0
+        for a in row:
+            end = word.index(a, end) + 1
+        assert end == len(word)
+
+    @pytest.mark.parametrize("s, n, caught", BUILT)
     def test_family_catches_single_deletions(self, s, n, caught):
-        # the counts of the family that also held a greedy skip chain per
-        # (skip index, skip letter): the chains caught no deletion that the
-        # identity, the reversal and the rotations missed
+        # the counts of the m + 1 rows it replaced (the identity, the
+        # reversal, the m - 1 rotations): no other row caught a deletion
+        # that the reversal missed
         word = build_supersequence(generate(s, n)).word
         family = adversarial_permutations(n + 1)
         cuts = [word[:i] + word[i + 1 :] for i in range(len(word))]
@@ -1349,16 +1382,6 @@ class TestAdversarial:
                     reasons[reason] += 1
                     assert skip_chain_rho(cut, k, last) == rho
         assert reasons["empty"] == reasons["absent"] > 0, reasons
-
-    def test_family_is_deterministic_and_finite(self):
-        fam1 = adversarial_permutations(14)
-        fam2 = adversarial_permutations(14)
-        assert fam1 == fam2
-        assert all(sorted(p) == list(range(1, 15)) for p in fam1)
-
-    def test_contains_reversal_with_new_letter_last(self):
-        fam = adversarial_permutations(14)
-        assert tuple(range(13, 0, -1)) + (14,) in fam
 
     def test_chain_matches_worked_recursion(self):
         glist = gen_ts(3, 18)
