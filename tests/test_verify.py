@@ -1305,6 +1305,16 @@ class TestAdversarial:
         expected = [tuple(range(m - 1, 0, -1)) + (m,)]
         assert adversarial_permutations(m) == expected
 
+    def test_family_is_deterministic_and_finite(self):
+        fam1 = adversarial_permutations(14)
+        fam2 = adversarial_permutations(14)
+        assert fam1 == fam2
+        assert all(sorted(p) == list(range(1, 15)) for p in fam1)
+
+    def test_contains_reversal_with_new_letter_last(self):
+        fam = adversarial_permutations(14)
+        assert tuple(range(13, 0, -1)) + (14,) in fam
+
     def test_family_rejects_empty_alphabet(self):
         with pytest.raises(ValueError, match="^alphabet size m=0 must be"):
             adversarial_permutations(0)
