@@ -10,6 +10,7 @@ importing this module does not load it.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Sequence as Seq
 
 __all__ = [
@@ -60,13 +61,25 @@ def is_subsequence(candidate: Iterable[int], word: Seq[int]) -> bool:
 
 
 def checked_word(word: Iterable[int], m: int) -> tuple[int, ...]:
-    """word as a tuple, or ValueError naming its first letter outside 1..m:
-    the letter check of the table and of every verifier."""
+    """word as a tuple, or ValueError naming its first letter that is not
+    an integer in 1..m: the letter check of the table and of every
+    verifier.  Each letter passes through operator.index, which rejects
+    1.5, 1.0 and '1' alike, and only the distinct letters are compared;
+    the word is walked letter by letter only to name a bad one."""
     word = tuple(word)
+    try:
+        letters = set(map(index, word))
+        if not letters or 1 <= min(letters) and max(letters) <= m:
+            return word
+    except TypeError:
+        pass
     for a in word:
-        if not 1 <= a <= m:
-            raise ValueError(f"letter {a} outside alphabet 1..{m}")
-    return word
+        try:
+            if 1 <= index(a) <= m:
+                continue
+        except TypeError:
+            a = repr(a)  # '1' and 1.5 as typed
+        raise ValueError(f"letter {a} outside alphabet 1..{m}")
 
 
 class NextOccurrenceTable:

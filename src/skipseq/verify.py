@@ -425,13 +425,18 @@ def verify_supersequence_sampled(
     extra = list(extra)
     if any(len(perm) != m for perm in extra):
         raise ValueError(f"every extra permutation must have length m={m}")
+    try:  # np.array would truncate a letter that is not an integer
+        extra = [checked_word(perm, m) for perm in extra]
+        valid = all(len(set(perm)) == m for perm in extra)
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"every extra row must be a permutation of 1..{m}")
     # imported here: every other check runs without numpy, which takes
     # about 40 ms and 13 MiB to load
     import numpy as np
 
     family = np.array(extra, dtype=np.int64).reshape(len(extra), m)
-    if (np.sort(family, axis=1) != np.arange(1, m + 1)).any():
-        raise ValueError(f"every extra row must be a permutation of 1..{m}")
     # imported here: logging, which it loads, would add about 5 ms to
     # every import of skipseq
     from concurrent.futures import ThreadPoolExecutor
@@ -502,11 +507,10 @@ def trace_m_sets(
         raise ValueError(f"rho has length {len(rho)}, expected k={k}")
     if len(set(rho)) != len(rho) or not all(1 <= a <= glist.n for a in rho):
         raise ValueError("rho must have distinct letters from 1..n")
-    pos = _positions(glist)
     steps: list[tuple[int, frozenset[int]]] = []
     removed: set[int] = set()
     for idx in range(k - 1, 0, -1):
-        m_set = _m_set(glist, pos, idx, rho[idx], removed)
+        m_set = _m_set(glist, idx, rho[idx], removed)
         if m_set is None:
             break
         steps.append((idx, frozenset(m_set)))
@@ -516,22 +520,6 @@ def trace_m_sets(
         removed.add(rho[idx])
     max_size = max((len(m_set) for _, m_set in steps), default=0)
     return MSetTrace(tuple(steps), idx, max_size)
-
-
-def _positions(glist: GeneratedList) -> list[list[int]]:
-    """pos[i][a]: the 0-based position of letter a in sigma_i, or -1 when a
-    is not in sigma_i (pos[0] is unused, so pos is indexed 1-based like the
-    list).  The rows share one set of int objects, so they take 8 bytes a
-    cell: 8 MB at n = 999, where one dict per sequence takes 55 MB."""
-    n = glist.n
-    at = list(range(n))
-    pos = [[-1] * (n + 1)]
-    for seq in glist.sequences:
-        row = [-1] * (n + 1)
-        for a, j in zip(seq, at):
-            row[a] = j
-        pos.append(row)
-    return pos
 
 
 def skip_chain_rho(
@@ -548,18 +536,15 @@ def skip_chain_rho(
     Once the chain dies the front is padded with unused letters ascending.
     """
     _check_chain_end(glist, k, last)
-    pos = _positions(glist)
     chain = [last]  # rho[k], rho[k-1], ...
     used = {last}  # M_idx never holds prev, the letter it follows
     for idx in range(k - 1, 1, -1):
-        m_set = _m_set(glist, pos, idx, chain[-1], used)
+        m_set = _m_set(glist, idx, chain[-1], used)
         if not m_set:
             break
-        before = pos[idx - 1]
-        present = [a for a in m_set if before[a] >= 0]
-        chain.append(
-            min(present, key=before.__getitem__) if present else min(m_set)
-        )
+        members = set(m_set)
+        before = glist.sequences[idx - 2]
+        chain.append(next((a for a in before if a in members), min(m_set)))
         used.add(chain[-1])
     pad = [a for a in range(1, glist.n + 1) if a not in used]
     return tuple(pad[: k - len(chain)] + chain[::-1])
@@ -576,15 +561,15 @@ def _check_chain_end(
 
 
 def _m_set(
-    glist: GeneratedList, pos: list[list[int]], idx: int, prev: int,
-    removed: set[int],
+    glist: GeneratedList, idx: int, prev: int, removed: set[int]
 ) -> Optional[list[int]]:
     """M_idx, the letters of sigma_idx after prev less those in removed, in
-    sigma_idx order; None when prev is not in sigma_idx."""
-    at = pos[idx][prev]
-    if at < 0:
+    sigma_idx order, found by one scan of sigma_idx; None when prev is not
+    in sigma_idx."""
+    sigma = glist.sequences[idx - 1]
+    if prev not in sigma:
         return None
-    return [a for a in glist.sequences[idx - 1][at + 1 :] if a not in removed]
+    return [a for a in sigma[sigma.index(prev) + 1 :] if a not in removed]
 
 
 def adversarial_permutations(m: int) -> list[tuple[int, ...]]:

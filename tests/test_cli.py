@@ -468,8 +468,22 @@ class TestOracleAndTrace:
             "--rho", "1,16,15,14,13,12,11,10,9,8,18,17",
         )
         assert code == 0
-        assert "M[11] = {8,18}" in out
-        assert "max |M| = 2 (bound 2)" in out
+        # the README's run, all 13 lines
+        assert out == (
+            "M[11] = {8,18}\n"
+            "M[10] = {8,9}\n"
+            "M[9] = {9,10}\n"
+            "M[8] = {10,11}\n"
+            "M[7] = {11,12}\n"
+            "M[6] = {12,13}\n"
+            "M[5] = {13,14}\n"
+            "M[4] = {14,15}\n"
+            "M[3] = {15,16}\n"
+            "M[2] = {16}\n"
+            "M[1] = {-}\n"
+            "terminated at index 1\n"
+            "max |M| = 2 (bound 2)\n"
+        )
 
     def test_trace_bad_rho_exit_2(self, capsys):
         code, _, _ = run(

@@ -90,6 +90,14 @@ class TestNextOccurrenceTable:
         with pytest.raises(ValueError):
             NextOccurrenceTable((1, 5), 3)
 
+    def test_letter_not_an_integer(self):
+        # 2.0 equals the letter 2 before it; numpy integers are letters
+        for bad in (1.5, "2", 2.0):
+            with pytest.raises(ValueError, match=f"^letter {bad!r} outside"):
+                NextOccurrenceTable((1, 2, bad), 3)
+        table = NextOccurrenceTable(np.array([1, 2, 1], dtype=np.uint8), 2)
+        assert table.word == (1, 2, 1) and table.absent == 4
+
     def test_invariants_random(self):
         rng = random.Random(7)
         for _ in range(50):

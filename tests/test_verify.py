@@ -4,10 +4,12 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from skipseq import (
     verify_supersequence_sampled,
 )
 from skipseq import verify
-from skipseq.construct import valid_levels
+from skipseq.construct import skip_letters, valid_levels
 from skipseq.verify import (
     EXHAUSTIVE_LIMIT,
     adversarial_permutations,
@@ -167,6 +169,25 @@ def naive_skip_chain(glist, k, last):
     return tuple(pad[: k - len(chain)] + chain[::-1]), reason
 
 
+def naive_max_occupancy(glist, k, last):
+    """The largest |M| over every walk down the M sets from the skip letter
+    `last` (rho_k): each step may take any member of M_idx as rho_idx, and
+    a walk ends at sigma_1, at an empty set or when its letter is not in
+    the next sigma, reading each sigma with index as naive_m_sets does."""
+
+    def walk(idx, prev, used):
+        sigma = glist.seq(idx)
+        if prev not in sigma:
+            return 0
+        m_set = [a for a in sigma[sigma.index(prev) + 1 :] if a not in used]
+        if idx == 1:
+            return len(m_set)
+        deeper = [walk(idx - 1, a, used | {a}) for a in m_set]
+        return max([len(m_set)] + deeper)
+
+    return walk(k - 1, last, {last})
+
+
 def trace_corpus():
     """(glist, rho, k) for each skip chain of five lists: the chain; the
     chain with two letters before its end swapped; a seeded random distinct
@@ -210,7 +231,11 @@ def trace_corpus():
                 yield cut, chain, k
 
 
-@pytest.mark.parametrize("bad", [0, 5])
+@pytest.mark.parametrize(
+    "bad",
+    [0, 5, 1.5, "1", 1.0, np.float64(2.0)],
+    ids=["0", "5", "float", "str", "float-equal-to-1", "numpy-float-equal-to-2"],
+)
 @pytest.mark.parametrize(
     "check",
     [
@@ -231,8 +256,32 @@ def trace_corpus():
     ],
 )
 def test_letter_outside_alphabet_rejected(check, bad):
-    with pytest.raises(ValueError, match=f"letter {bad} outside alphabet 1..3"):
+    # a letter must be an integer: 1.5 compares within 1..3 and numpy
+    # would truncate it to 1; 1.0 and 2.0 equal letters met before them
+    message = f"^letter {re.escape(repr(bad))} outside alphabet 1..3$"
+    with pytest.raises(ValueError, match=message):
         check((1, 2, bad, 3, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_word_reads_as_its_ints(dtype):
+    word = build_supersequence(generate(2, 9)).word
+    cut = word[:40] + word[41:]
+    for w in (word, cut):
+        given = np.array(w, dtype=dtype)
+        assert is_k_complete(given, 10, 6) == is_k_complete(w, 10, 6)
+        got = verify_supersequence_exhaustive(given, 10)
+        expected = verify_supersequence_exhaustive(w, 10)
+        assert (got.verdict, got.witness) == (expected.verdict, expected.witness)
+        reversal = np.array(adversarial_permutations(10), dtype=dtype)
+        got = verify_supersequence_sampled(given, 10, 500, 3, reversal)
+        expected = verify_supersequence_sampled(
+            w, 10, 500, 3, adversarial_permutations(10)
+        )
+        assert (got.witness, got.stats["permutations_checked"]) == (
+            expected.witness, expected.stats["permutations_checked"]
+        )
+    assert not verify_supersequence_exhaustive(cut, 10).passed
 
 
 class TestIsKComplete:
@@ -789,12 +838,14 @@ class TestSampled:
 
     @pytest.mark.parametrize(
         "extra",
-        [[(1, 2)], [(1, 2, 3), (1, 2)], [(1, 2, 4)], [(0, 1, 2)], [(1, 1, 2)]],
+        [[(1, 2)], [(1, 2, 3), (1, 2)], [(1, 2, 4)], [(0, 1, 2)], [(1, 1, 2)],
+         [(1.5, 2.2, 3.9)], [("1", "2", "3")], [(1, 2.0, 3)]],
         ids=["short", "short-later", "letter-above-m", "letter-0",
-             "repeated-letter"],
+             "repeated-letter", "floats", "strs", "float-equal-to-2"],
     )
     def test_malformed_extra_rejected(self, extra):
-        # repeated-letter: (1, 1, 2) fits in the word but is no permutation
+        # repeated-letter: (1, 1, 2) fits in the word but is no permutation;
+        # np.array(dtype=int64) would truncate 1.5 to 1 and parse '1'
         with pytest.raises(ValueError, match="extra"):
             verify_supersequence_sampled(golden.INTRO_WORD_3, 3, 10, 1, extra)
 
@@ -1450,6 +1501,61 @@ class TestTraceMSets:
         # the trace and the skip chains shared one M-set step
         digest = hashlib.sha256(repr(outputs).encode()).hexdigest()[:16]
         assert digest == "c37fd4085cd34965"
+
+    def test_greedy_chain_has_maximum_occupancy(self):
+        # skip_chain_rho's claims: no walk down the M sets from the same
+        # skip letter meets a larger set than its greedy chain does, and
+        # each pick leaves the largest next set that any member of M would
+        picks = 0
+        for s, n in [(2, 9), (2, 12), (3, 13), (2, 15), (3, 18), (4, 24),
+                     (3, 23)]:
+            glist = generate(s, n)
+            for k in glist.skip_indices():
+                for last in skip_letters(s, n):
+                    rho = skip_chain_rho(glist, k, last)
+                    trace = trace_m_sets(glist, rho, k)
+                    expected = naive_max_occupancy(glist, k, last)
+                    assert trace.max_size == expected, (s, n, k, last)
+                    for idx, m_set in trace.steps:
+                        if idx == 1 or len(m_set) < 2:
+                            continue
+                        sigma = glist.seq(idx - 1)
+                        used = set(rho[idx:])  # rho_{idx+1}, ..., rho_k
+                        sizes = {
+                            a: len(set(sigma[sigma.index(a) + 1 :]) - used)
+                            if a in sigma else 0
+                            for a in m_set
+                        }
+                        assert sizes[rho[idx - 1]] == max(sizes.values())
+                        picks += 1
+        assert picks > 0
+
+    def test_walks_hold_no_position_table(self):
+        # at n = 999 a letter-position table over the list would take
+        # 7.76 MiB in skip_chain_rho and 9.56 MiB in trace_m_sets; the
+        # trace's own 914 steps take about 1.9 MiB
+        def peak(call):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                return call(), tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        glist = generate(42, 999)
+        rho, chain_peak = peak(lambda: skip_chain_rho(glist, 915, 999))
+        trace, trace_peak = peak(lambda: trace_m_sets(glist, rho, 915))
+        assert chain_peak < 1 << 20, chain_peak
+        assert trace_peak < 4 << 20, trace_peak
+        # the chain and the trace as recorded with the table
+        assert rho[-10:] == (94, 93, 92, 91, 90, 89, 88, 87, 86, 999)
+        digest = hashlib.sha256(repr(rho).encode()).hexdigest()[:16]
+        assert digest == "3c15ba6f975a69b2"
+        steps = tuple((idx, tuple(sorted(m))) for idx, m in trace.steps)
+        got = (steps, trace.terminated_at, trace.max_size)
+        assert (len(steps), got[1], got[2]) == (914, 1, 41)
+        digest = hashlib.sha256(repr(got).encode()).hexdigest()[:16]
+        assert digest == "1c9d39a671a703d4"
 
     def test_precondition_checks(self):
         glist = gen_ts(3, 18)
