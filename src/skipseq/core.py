@@ -61,16 +61,17 @@ def is_subsequence(candidate: Iterable[int], word: Seq[int]) -> bool:
 
 
 def checked_word(word: Iterable[int], m: int) -> tuple[int, ...]:
-    """word as a tuple, or ValueError naming its first letter that is not
-    an integer in 1..m: the letter check of the table and of every
-    verifier.  Each letter passes through operator.index, which rejects
-    1.5, 1.0 and '1' alike, and only the distinct letters are compared;
-    the word is walked letter by letter only to name a bad one."""
+    """word as a tuple of ints (itself if it is one), or ValueError naming
+    its first letter that is not an integer in 1..m: the one letter check,
+    read by the table and every verifier.  operator.index rejects 1.5, 1.0
+    and '1' and turns numpy integers and bools into ints; only the distinct
+    letters are compared, and the word is walked only to name a bad one."""
     word = tuple(word)
     try:
-        letters = set(map(index, word))
+        ints = word if {*map(type, word)} == {int} else tuple(map(index, word))
+        letters = set(ints)
         if not letters or 1 <= min(letters) and max(letters) <= m:
-            return word
+            return ints
     except TypeError:
         pass
     for a in word:

@@ -233,21 +233,20 @@ def _first_incomplete(
     and depths 1..n pass, depth n + 1 is rejected as is_k_complete would
     reject it.
     """
-    count = len(sequences)
-    c = min(count, n)
+    c = min(len(sequences), n)
     forward = direction == "forward"
-    chosen = sequences[:c] if forward else sequences[count - c :][::-1]
-    nearest = [seq if forward else seq[::-1] for seq in chosen]
-    word = checked_word((a for seq in nearest for a in seq), n)
+    chosen = sequences[:c] if forward else sequences[len(sequences) - c :]
+    word = checked_word((a for seq in chosen for a in seq), n)
+    letters = iter(word) if forward else reversed(word)
     without, atmost, tree = _universe(n, c)
     end = 0
-    for k, seq in enumerate(nearest, 1):
-        C = _read(tree, without, [a - 1 for a in seq])
+    for k, seq in enumerate(chosen if forward else chosen[::-1], 1):
+        labels = [a - 1 for a in itertools.islice(letters, len(seq))]
         end += len(seq)
-        if atmost[k] & ~C:
-            part = word[:end] if forward else word[:end][::-1]
+        if atmost[k] & ~_read(tree, without, labels):
+            part = word[:end] if forward else word[len(word) - end :]
             return Witness(is_k_complete(part, n, k).permutation, k, direction)
-    if count > n:
+    if len(sequences) > n:
         raise ValueError(f"k={n + 1} outside 1..{n}")
     return None
 
@@ -501,11 +500,16 @@ def trace_m_sets(
     empties, when rho leaves the M chain (two consecutive elements land in
     one sigma), or at sigma_1.
     """
-    if rho or glist.tag(k) != TAG_SKIP:  # an empty rho has no end to check
-        _check_chain_end(glist, k, rho[-1] if rho else None)
+    if len(rho) or glist.tag(k) != TAG_SKIP:  # an empty rho: no end to check
+        _check_chain_end(glist, k, rho[-1] if len(rho) else None)
     if len(rho) != k:
         raise ValueError(f"rho has length {len(rho)}, expected k={k}")
-    if len(set(rho)) != len(rho) or not all(1 <= a <= glist.n for a in rho):
+    try:
+        rho = checked_word(rho, glist.n)
+        valid = len(set(rho)) == k
+    except ValueError:
+        valid = False
+    if not valid:
         raise ValueError("rho must have distinct letters from 1..n")
     steps: list[tuple[int, frozenset[int]]] = []
     removed: set[int] = set()
@@ -535,7 +539,7 @@ def skip_chain_rho(
     sigma_{idx-1} and is not removed, so a's set strictly contains b's.
     Once the chain dies the front is padded with unused letters ascending.
     """
-    _check_chain_end(glist, k, last)
+    last = _check_chain_end(glist, k, last)
     chain = [last]  # rho[k], rho[k-1], ...
     used = {last}  # M_idx never holds prev, the letter it follows
     for idx in range(k - 1, 1, -1):
@@ -552,12 +556,18 @@ def skip_chain_rho(
 
 def _check_chain_end(
     glist: GeneratedList, k: int, last: Optional[int]
-) -> None:
-    """Reject k unless a skip index, and `last` unless a skip letter."""
+) -> int:
+    """Reject k unless a skip index, and `last` unless a skip letter;
+    return `last` as checked_word reads it."""
     if glist.tag(k) != TAG_SKIP:
         raise ValueError(f"k={k} is not a skip-sequence index")
-    if last not in skip_letters(glist.s, glist.n):
+    try:
+        end = checked_word((last,), glist.n)[0]
+    except ValueError:
+        end = None
+    if end not in skip_letters(glist.s, glist.n):
         raise ValueError(f"rho[{k}]={last} is not a skip letter")
+    return end
 
 
 def _m_set(

@@ -414,6 +414,26 @@ class TestAnalyze:
         assert lines[1] == "3: 12/5"
         assert lines[2] == "4: 17/7"
 
+    def test_s_range_bounded_like_m_range(self, capsys):
+        # rejected before any line is built; no level above s = 2499 is
+        # valid at m <= 10000, as level s needs n >= 4s + 1
+        code, out, err = run(
+            capsys, "analyze", "--coefficients", "--s-range", "2:10001"
+        )
+        assert (code, out) == (2, "")
+        assert "s=10001 outside supported range 2..10000" in err
+        code, out, _ = run(
+            capsys, "analyze", "--coefficients", "--s-range", "2:10000"
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 9999
+        # s < 2 keeps the coefficient's own message
+        code, out, err = run(
+            capsys, "analyze", "--coefficients", "--s-range", "1:3"
+        )
+        assert (code, out) == (2, "")
+        assert "coefficient requires s >= 2, got 1" in err
+
     def test_no_alphabet_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze")
         assert code == 2

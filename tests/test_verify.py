@@ -35,6 +35,7 @@ from skipseq import (
     verify_supersequence_sampled,
 )
 from skipseq import verify
+from skipseq.core import NextOccurrenceTable, checked_word
 from skipseq.construct import skip_letters, valid_levels
 from skipseq.verify import (
     EXHAUSTIVE_LIMIT,
@@ -282,6 +283,46 @@ def test_numpy_integer_word_reads_as_its_ints(dtype):
             expected.witness, expected.stats["permutations_checked"]
         )
     assert not verify_supersequence_exhaustive(cut, 10).passed
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize("s, n", [(2, 9), (3, 13)])
+def test_numpy_integer_lists_complete_as_their_ints(dtype, s, n):
+    # the completeness passes read only the ints checked_word returns: a
+    # numpy letter once reached the bitset shifts and overflowed
+    sequences = generate(s, n).sequences
+    # intact, and one letter deleted from the first, last or middle list
+    for idx in (None, 0, n - 1, n // 2):
+        lists = list(sequences)
+        if idx is not None:
+            lists[idx] = lists[idx][1:]
+        given = [np.array(seq, dtype=dtype) for seq in lists]
+        for check in (forward_complete, backward_complete, strongly_complete):
+            got, expected = check(given, n), check(lists, n)
+            assert got == expected
+            if got is not None:
+                assert all(type(a) is int for a in got.permutation)
+    assert strongly_complete(lists, n) is not None
+
+
+@pytest.mark.parametrize(
+    "given",
+    [np.array([1, 2, 1], dtype=np.uint8), [np.int64(1), 2, np.int32(1)],
+     (True, 2, True), [1, 2, 1]],
+    ids=["uint8-array", "numpy-scalars", "bool", "int-list"],
+)
+def test_checked_word_returns_plain_ints(given):
+    word = checked_word(given, 2)
+    assert word == (1, 2, 1)
+    assert all(type(a) is int for a in word)
+    assert all(type(a) is int for a in NextOccurrenceTable(given, 2).word)
+
+
+def test_int_tuple_is_checked_without_a_copy():
+    # the table holds the caller's word, not a second copy of it
+    word = build_supersequence(generate(3, 13)).word
+    assert checked_word(word, 14) is word
+    assert NextOccurrenceTable(word, 14).word is word
 
 
 class TestIsKComplete:
@@ -1585,12 +1626,26 @@ class TestTraceMSets:
             trace_m_sets(glist, (), 11)
         with pytest.raises(ValueError, match="k=99 outside 1..18"):
             trace_m_sets(glist, (), 99)
-        # the README's rho with its first letter repeated or out of range
+        # the README's rho with its first letter repeated, out of range or
+        # not an integer
         rho = (1, 16, 15, 14, 13, 12, 11, 10, 9, 8, 18, 17)
-        for first in (16, 0, 19):
+        for first in (16, 0, 19, 1.0, 1.5, "1"):
             message = "^rho must have distinct letters from 1..n$"
             with pytest.raises(ValueError, match=message):
                 trace_m_sets(glist, (first,) + rho[1:], 12)
+        # a skip letter must be an integer too, and a numpy one reads as
+        # its int
+        message = "^rho\\[12\\]=17.0 is not a skip letter$"
+        with pytest.raises(ValueError, match=message):
+            skip_chain_rho(glist, 12, 17.0)
+        with pytest.raises(ValueError, match=message):
+            trace_m_sets(glist, tuple(map(float, rho)), 12)
+        chain = skip_chain_rho(glist, 12, np.int64(17))
+        assert chain == skip_chain_rho(glist, 12, 17)
+        assert all(type(a) is int for a in chain)
+        expected = trace_m_sets(glist, rho, 12)
+        assert trace_m_sets(glist, [np.int64(a) for a in rho], 12) == expected
+        assert trace_m_sets(glist, np.array(rho, dtype=np.uint8), 12) == expected
 
 
 class TestOracle:
