@@ -24,7 +24,7 @@ print("Backward completeness:", backward_complete(glist.sequences, 9) is None)
 
 report = quasi_palindrome(glist.sequences)
 print("Quasi-palindrome bijection:", report.mapping)
-print("Involution:", report.involution)
+print("Bijection found:", report.found)
 
 word = build_supersequence(glist)
 result = verify_supersequence_exhaustive(word.word, word.m)

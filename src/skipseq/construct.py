@@ -16,6 +16,7 @@ only that head of it (``_t1_head``), not the whole list.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import pslice
@@ -54,9 +55,10 @@ class GeneratedList:
     """The list sigma_1..sigma_n for level s over the alphabet {1..n}."""
 
     s: int
-    n: int
     sequences: tuple[tuple[int, ...], ...]
     case_tags: tuple[str, ...]
+    n = property(lambda self: len(self.sequences))
+    total_elements = property(lambda self: sum(map(len, self.sequences)))
 
     def seq(self, k: int) -> tuple[int, ...]:
         """sigma_k, 1-based."""
@@ -69,10 +71,6 @@ class GeneratedList:
         if not 1 <= k <= self.n:
             raise ValueError(f"k={k} outside 1..{self.n}")
         return k - 1
-
-    @property
-    def total_elements(self) -> int:
-        return sum(len(seq) for seq in self.sequences)
 
     def skip_indices(self) -> list[int]:
         """Indices k whose sequence drops the skip letters."""
@@ -172,12 +170,13 @@ def gen_t1(n: int) -> GeneratedList:
     prev2, prev = seqs[n - 3], seqs[n - 2]
     seqs.append((prev2[-1],) + pslice(prev, 1, -1))
     tags.append(TAG_FINAL)
-    return GeneratedList(1, n, tuple(seqs), tuple(tags))
+    return GeneratedList(1, tuple(seqs), tuple(tags))
 
 
 def gen_t2(n: int) -> GeneratedList:
     """Level-2 list: one extra letter n skipped where k = 2 (mod 3)."""
     validate(2, n)
+    n = operator.index(n)  # n is a letter below: keep it a plain int
     seqs, _ = _t1_head(n, 3)
     tags = [TAG_INITIAL] * 3
     for k in range(4, n - 2):
@@ -209,7 +208,7 @@ def gen_t2(n: int) -> GeneratedList:
     prev2, prev = seqs[n - 3], seqs[n - 2]
     seqs.append((prev2[-1],) + pslice(prev, 1, -1))
     tags += [TAG_FINAL] * 3
-    return GeneratedList(2, n, tuple(seqs), tuple(tags))
+    return GeneratedList(2, tuple(seqs), tuple(tags))
 
 
 def gen_ts(s: int, n: int) -> GeneratedList:
@@ -218,6 +217,7 @@ def gen_ts(s: int, n: int) -> GeneratedList:
     if s < 3:
         raise ValidationError(f"gen_ts requires s >= 3, got s={s}")
     validate(s, n)
+    s, n = operator.index(s), operator.index(n)  # GeneratedList stores s
     cyc = 2 * s - 1
     fwd = pslice  # alias keeps the clauses below one line each
     ph = skip_letters(s, n)
@@ -273,7 +273,7 @@ def gen_ts(s: int, n: int) -> GeneratedList:
     prev2, prev = seqs[n - 3], seqs[n - 2]
     seqs.append((prev2[-1],) + fwd(prev, 1, -1))
     tags.append(TAG_FINAL)
-    return GeneratedList(s, n, tuple(seqs), tuple(tags))
+    return GeneratedList(s, tuple(seqs), tuple(tags))
 
 
 def generate(s: int, n: int) -> GeneratedList:

@@ -18,9 +18,10 @@ import it on their first call, so that the other checks never load it.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence as Seq
 
 from .core import NextOccurrenceTable, checked_word
@@ -70,28 +71,25 @@ class Witness:
     """A distinct-letter sequence that the checked word does not contain."""
 
     permutation: tuple[int, ...]
-    failed_k: int
-    direction: Optional[str] = None
+    direction: Optional[str] = field(default=None, kw_only=True)
+    failed_k = property(lambda self: len(self.permutation))  # failed depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VerificationReport:
-    verdict: str  # "pass" | "fail"
     mode: str  # "exhaustive" | "sampled"
     witness: Optional[Witness] = None
     stats: dict = field(default_factory=dict)
     seed: Optional[int] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    passed = property(lambda self: self.witness is None)
+    verdict = property(lambda self: "pass" if self.passed else "fail")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BijectionReport:
-    found: bool
     mapping: Optional[dict[int, int]] = None
     conflict: Optional[tuple[int, int]] = None  # first conflicting positions
+    found = property(lambda self: self.mapping is not None)
     involution = property(lambda self: self.found)  # phi maps b back to a
 
 
@@ -99,7 +97,9 @@ class BijectionReport:
 class MSetTrace:
     steps: tuple[tuple[int, frozenset[int]], ...]
     terminated_at: int
-    max_size: int
+    max_size = property(
+        lambda self: max((len(m) for _, m in self.steps), default=0)
+    )
 
 
 def _universe(u: int, top: int) -> tuple[list[int], list[int], list[int]]:
@@ -217,7 +217,7 @@ def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
         free.remove(a)
         rest &= lack
         pos = min(p, L)
-    return Witness(tuple(witness), k)
+    return Witness(tuple(witness))
 
 
 def _first_incomplete(
@@ -245,7 +245,7 @@ def _first_incomplete(
         end += len(seq)
         if atmost[k] & ~_read(tree, without, labels):
             part = word[:end] if forward else word[len(word) - end :]
-            return Witness(is_k_complete(part, n, k).permutation, k, direction)
+            return replace(is_k_complete(part, n, k), direction=direction)
     if len(sequences) > n:
         raise ValueError(f"k={n + 1} outside 1..{n}")
     return None
@@ -280,11 +280,11 @@ def quasi_palindrome(sequences: Seq[Seq[int]]) -> BijectionReport:
     mapping: dict[int, int] = {}
     for p, (a, b) in enumerate(zip(word, reversed(word))):
         if mapping.setdefault(a, b) != b:
-            return BijectionReport(False, conflict=(p + 1, L - p))
+            return BijectionReport(conflict=(p + 1, L - p))
     lengths = [len(seq) for seq in sequences]
     if lengths != lengths[::-1]:
-        return BijectionReport(False)
-    return BijectionReport(True, mapping)
+        return BijectionReport()
+    return BijectionReport(mapping=mapping)
 
 
 def verify_supersequence_exhaustive(
@@ -303,9 +303,7 @@ def verify_supersequence_exhaustive(
     start = time.perf_counter()
     witness = is_k_complete(word, m, m)
     stats = {"elapsed_s": time.perf_counter() - start}
-    if witness is None:
-        return VerificationReport("pass", "exhaustive", stats=stats)
-    return VerificationReport("fail", "exhaustive", witness, stats)
+    return VerificationReport(mode="exhaustive", witness=witness, stats=stats)
 
 
 class _Matcher:
@@ -477,15 +475,16 @@ def verify_supersequence_sampled(
             bad = matcher.first_failure(batch)
             if bad >= 0:
                 checked += bad + 1
-                witness = Witness(tuple(int(x) for x in batch[bad]), m)
+                witness = Witness(tuple(int(x) for x in batch[bad]))
                 break
             checked += len(batch)
     stats = {
         "permutations_checked": checked,
         "elapsed_s": time.perf_counter() - start,
     }
-    verdict = "pass" if witness is None else "fail"
-    return VerificationReport(verdict, "sampled", witness, stats, seed)
+    return VerificationReport(
+        mode="sampled", witness=witness, stats=stats, seed=seed
+    )
 
 
 def trace_m_sets(
@@ -522,8 +521,7 @@ def trace_m_sets(
         if not m_set or idx == 1 or rho[idx - 1] not in m_set:
             break
         removed.add(rho[idx])
-    max_size = max((len(m_set) for _, m_set in steps), default=0)
-    return MSetTrace(tuple(steps), idx, max_size)
+    return MSetTrace(tuple(steps), idx)
 
 
 def skip_chain_rho(
@@ -588,6 +586,7 @@ def adversarial_permutations(m: int) -> list[tuple[int, ...]]:
     m·σ_1·m·…·σ_n·m its greedy embedding ends on the last letter, while
     the identity's ends by letter m + 1 and each rotation's by 2m - 1."""
     _check_sampled_alphabet(m)
+    m = operator.index(m)  # m is a letter of the row: keep it a plain int
     return [tuple(range(m - 1, 0, -1)) + (m,)]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -5,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import golden
 from skipseq import (
+    GeneratedList,
     ValidationError,
     build_supersequence,
     gen_t1,
@@ -96,6 +99,31 @@ class TestGeneratedList:
             glist.seq(k)
         with pytest.raises(ValueError, match=f"k={k} outside 1..18"):
             glist.tag(k)
+
+    def test_n_is_the_number_of_sequences(self):
+        glist = gen_ts(3, 18)
+        assert glist.n == len(glist.sequences) == 18
+        assert "n" not in {f.name for f in dataclasses.fields(glist)}
+        cut = dataclasses.replace(glist, sequences=glist.sequences[:-1])
+        assert cut.n == 17
+        # the old positional call, with n second, is refused
+        with pytest.raises(TypeError):
+            GeneratedList(3, 18, glist.sequences, glist.case_tags)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("s, n", [(1, 9), (2, 9), (3, 13)])
+    def test_numpy_sizes_build_int_words(self, s, n, dtype):
+        # a size is never inserted as a letter: it is read as a plain int
+        expected = build_supersequence(generate(s, n))
+        level = {1: gen_t1, 2: gen_t2}.get(s)
+        direct = level(dtype(n)) if level else gen_ts(dtype(s), dtype(n))
+        for glist in (generate(dtype(s), dtype(n)), direct):
+            assert (type(glist.s), type(glist.n)) == (int, int)
+            word = build_supersequence(glist)
+            assert word == expected
+            assert type(word.m) is int
+            assert all(type(a) is int for a in word.word)
+            assert all(type(a) is int for seq in glist.sequences for a in seq)
 
 
 class TestGenerate:

@@ -544,7 +544,7 @@ class TestQuasiPalindrome:
     def test_not_a_quasi_palindrome(self):
         # 1213: position 1 maps 1 to 3, position 3 maps it to 2
         report = quasi_palindrome([(1, 2), (1, 3)])
-        assert report == verify.BijectionReport(False, conflict=(3, 2))
+        assert report == verify.BijectionReport(conflict=(3, 2))
 
     @pytest.mark.parametrize(
         "sequences, conflict",
@@ -563,15 +563,15 @@ class TestQuasiPalindrome:
         # the first 1-based position p whose letter is already mapped to
         # another letter than the one at its mirror L + 1 - p
         report = quasi_palindrome(sequences)
-        assert report == verify.BijectionReport(False, conflict=conflict)
+        assert report == verify.BijectionReport(conflict=conflict)
 
     def test_mirror_length_condition(self):
         # concatenation palindromic but per-sequence lengths asymmetric
         report = quasi_palindrome([(1, 2, 1), (2,)])
-        assert report == verify.BijectionReport(False)
+        assert report == verify.BijectionReport()
         # a concatenation with a bijection and asymmetric lengths
         report = quasi_palindrome([(1, 2, 3, 4), (5,)])
-        assert report == verify.BijectionReport(False)
+        assert report == verify.BijectionReport()
 
     @given(
         st.lists(
@@ -607,6 +607,89 @@ class TestQuasiPalindrome:
         assert quasi_palindrome(golden.T1_6).mapping == golden.T1_6_BIJECTION
         assert quasi_palindrome(golden.T2_12).mapping == golden.T2_12_BIJECTION
         assert quasi_palindrome(golden.T3_18).mapping == golden.T3_18_BIJECTION
+
+
+class TestResultTypes:
+    # each fact is stored once: the verdict, the failed depth, whether a
+    # bijection was found and the largest M-set follow from the fields
+    DERIVED = [
+        (verify.Witness, "failed_k"),
+        (verify.VerificationReport, "verdict"),
+        (verify.VerificationReport, "passed"),
+        (verify.BijectionReport, "found"),
+        (verify.MSetTrace, "max_size"),
+    ]
+
+    @pytest.mark.parametrize("cls, name", DERIVED)
+    def test_derived_fields_are_read_only_properties(self, cls, name):
+        assert isinstance(getattr(cls, name), property)
+        assert name not in {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: verify.Witness((2, 1), 2),
+            lambda: verify.Witness((2, 1), 2, "forward"),
+            lambda: verify.VerificationReport("pass", "exhaustive"),
+            lambda: verify.VerificationReport("fail", "sampled", None, {}, 7),
+            lambda: verify.BijectionReport(False),
+            lambda: verify.BijectionReport(True, {1: 1}),
+            lambda: verify.MSetTrace(((3, frozenset({1})),), 3, 1),
+        ],
+        ids=[
+            "witness", "witness-direction", "report-pass", "report-fail",
+            "bijection-false", "bijection-true", "m-set-trace",
+        ],
+    )
+    def test_old_positional_calls_rejected(self, call):
+        # before, these bound the verdict, depth or found flag positionally;
+        # now each would bind another field, so it raises instead
+        with pytest.raises(TypeError):
+            call()
+
+    def test_reports_cannot_contradict_themselves(self):
+        witness = verify.Witness((3, 1, 2), direction="backward")
+        assert witness.failed_k == 3
+        report = verify.VerificationReport(mode="exhaustive", witness=witness)
+        assert (report.verdict, report.passed) == ("fail", False)
+        report = verify.VerificationReport(mode="sampled", seed=7)
+        assert (report.verdict, report.passed) == ("pass", True)
+        assert verify.BijectionReport(conflict=(3, 2)).found is False
+        assert verify.BijectionReport().found is False
+        report = verify.BijectionReport(mapping={1: 2, 2: 1})
+        assert report.found is report.involution is True
+        assert verify.MSetTrace((), 12).max_size == 0
+        steps = ((11, frozenset({17, 18})), (10, frozenset({3})))
+        assert verify.MSetTrace(steps, 10).max_size == 2
+
+    def test_numpy_alphabet_gives_int_failed_k(self):
+        # T2_9's word with its sixth letter deleted, checked at m = 10
+        word = build_supersequence(gen_t2(9)).word
+        word = word[:5] + word[6:]
+        exhaustive = verify_supersequence_exhaustive(word, np.int64(10))
+        assert exhaustive.verdict == "fail"
+        sampled = verify_supersequence_sampled(
+            word, np.int64(10), 10, 1, extra=[exhaustive.witness.permutation]
+        )
+        assert sampled.witness == exhaustive.witness
+        for report in (exhaustive, sampled):
+            assert report.witness.failed_k == 10
+            assert type(report.witness.failed_k) is int
+        cut = list(gen_t2(9).sequences)
+        cut[3] = cut[3][1:]
+        for check in (forward_complete, strongly_complete):
+            witness = check(cut, np.int64(9))
+            assert (witness.failed_k, type(witness.failed_k)) == (4, int)
+
+    def test_numpy_sizes_give_int_m_set_sizes(self):
+        glist = generate(np.int64(3), np.int64(18))
+        assert (type(glist.s), type(glist.n)) == (int, int)
+        rho = skip_chain_rho(glist, 12, 17)
+        assert rho == skip_chain_rho(gen_ts(3, 18), 12, 17)
+        trace = trace_m_sets(glist, rho, 12)
+        assert trace == trace_m_sets(gen_ts(3, 18), rho, 12)
+        assert (trace.max_size, type(trace.max_size)) == (2, int)
+        assert type(trace.terminated_at) is int
 
 
 class TestProofRoute:
@@ -706,7 +789,7 @@ class TestExhaustive:
         word = build_supersequence(gen_ts(s, n)).word
         word = word[:p] + word[p + 1 :]
         report = verify_supersequence_exhaustive(word, n + 1)
-        assert report.witness == verify.Witness(witness, n + 1)
+        assert report.witness == verify.Witness(witness)
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_alphabet_size_below_1_rejected(self, m):
@@ -1396,6 +1479,11 @@ class TestAdversarial:
         # one row, so m = 1 gives [(1,)]
         expected = [tuple(range(m - 1, 0, -1)) + (m,)]
         assert adversarial_permutations(m) == expected
+
+    def test_family_row_holds_ints_for_a_numpy_alphabet(self):
+        (row,) = adversarial_permutations(np.int64(10))
+        assert row == (9, 8, 7, 6, 5, 4, 3, 2, 1, 10)
+        assert all(type(a) is int for a in row)
 
     def test_family_is_deterministic_and_finite(self):
         fam1 = adversarial_permutations(14)
