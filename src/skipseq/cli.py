@@ -7,6 +7,7 @@ Exit codes: 0 success/pass, 1 combinatorial failure (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -248,10 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process; parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:

@@ -314,6 +314,7 @@ def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
 
     if m < 5:
         raise ValidationError(f"m={m} must be >= 5")
+    m = operator.index(m)  # Supersequence stores m: keep it a plain int
     n = m - 1
     if strategy == "t1_fallback":
         return build_supersequence(gen_t1(n))

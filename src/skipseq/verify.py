@@ -17,6 +17,7 @@ import it on their first call, so that the other checks never load it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -102,7 +103,7 @@ class MSetTrace:
     )
 
 
-def _universe(u: int, top: int) -> tuple[list[int], list[int], list[int]]:
+def _universe(u: int, top: int) -> tuple[Seq[int], Seq[int], list[int]]:
     """Bitsets over the sets of u letters 0..u-1 (bit S: the set of the
     bits of S): without[c], the sets that lack c; atmost[s], s <= top, the
     sets of at most s letters; and the pass before any letter is read, a
@@ -110,46 +111,65 @@ def _universe(u: int, top: int) -> tuple[list[int], list[int], list[int]]:
     S - c was in C at the last c, node i < u the AND of nodes 2i and
     2i + 1, so node 1 holds C, the sets all of whose orderings are
     subsequences of the word read.  The bitsets of the first letters are
-    the low bits of _BASE's; each further letter doubles the width."""
-    base_without, base_atmost, _ = _BASE
-    b = min(u, len(base_without))
-    low = (1 << (1 << b)) - 1
-    without = [x & low for x in base_without[:b]]
-    atmost = [x & low for x in base_atmost[: top + 1]]
-    atmost += [low] * (top + 1 - len(atmost))
-    width = 1 << b
-    for _ in range(b, u):
-        without = [x | x << width for x in without]
-        without.append((1 << width) - 1)
-        atmost = [x | y << width for x, y in zip(atmost, [0] + atmost)]
-        width <<= 1
-    tree = [0] * u + without
-    for i in range(u - 1, 0, -1):
-        tree[i] = tree[2 * i] & tree[2 * i + 1]
-    return without, atmost, tree
+    the low bits of the kept (8, 8) universe's; each further letter
+    doubles the width.  Universes of at most 8 letters are kept, at most
+    256 bits a bitset, and each call returns a fresh copy of the tree,
+    which _read changes in place."""
+    kept = _KEPT.get((u, top))
+    if kept is None:
+        base_without, base_atmost, _ = _KEPT.get((8, 8), ([], [], []))
+        b = min(u, len(base_without))
+        low = (1 << (1 << b)) - 1
+        without = [x & low for x in base_without[:b]]
+        atmost = [x & low for x in base_atmost[: top + 1]]
+        atmost += [low] * (top + 1 - len(atmost))
+        width = 1 << b
+        for _ in range(b, u):
+            without = [x | x << width for x in without]
+            without.append((1 << width) - 1)
+            atmost = [x | y << width for x, y in zip(atmost, [0] + atmost)]
+            width <<= 1
+        tree = [0] * u + without
+        for i in range(u - 1, 0, -1):
+            tree[i] = tree[2 * i] & tree[2 * i + 1]
+        kept = tuple(without), tuple(atmost), tree
+        if u <= 8 and top <= u:
+            _KEPT[u, top] = kept
+    without, atmost, tree = kept
+    return without, atmost, list(tree)
 
 
-# built once from the empty base; checks over few letters cut from it
-_BASE: tuple[list[int], list[int], list[int]] = ([], [], [])
-_BASE = _universe(8, 8)
+# (u, top) -> universe, for u <= 8; the first kept, (8, 8), is the base
+# that the others cut from and larger universes widen
+_KEPT: dict[tuple[int, int], tuple] = {}
+_universe(8, 8)
 
 
-def _read(tree: list[int], without: list[int], labels, history=None) -> int:
+@functools.cache
+def _steps(u: int) -> tuple[tuple[int, int, tuple], ...]:
+    """For each letter c of a u-letter tree: its leaf u + c, 1 << c, and
+    the nodes above the leaf, each with its left child, leaf to root."""
+
+    def up(i):
+        return tuple((i >> d, i >> d << 1) for d in range(1, i.bit_length()))
+
+    return tuple((u + c, 1 << c, up(u + c)) for c in range(u))
+
+
+def _read(tree: list[int], without: Seq[int], labels, history=None) -> int:
     """Advance the tree in place over labels (None: a letter outside the
     universe), appending C to history after each letter if it is a list;
     return C.  Exact, as S is in C iff every a in S has S - a in C as it
     was at the last a: reading c sets B_c to the sets without c and T + c
     for each T in C, and changes only the nodes above leaf c."""
-    u = len(without)
+    steps = _steps(len(without))
     for c in labels:
         if c is not None:
+            leaf, bit, path = steps[c]
             lack = without[c]
-            i = u + c
-            tree[i] = lack | (tree[1] & lack) << (1 << c)
-            i >>= 1
-            while i:
-                tree[i] = tree[2 * i] & tree[2 * i + 1]
-                i >>= 1
+            tree[leaf] = lack | (tree[1] & lack) << bit
+            for i, j in path:
+                tree[i] = tree[j] & tree[j + 1]
         if history is not None:
             history.append(tree[1])
     return tree[1]

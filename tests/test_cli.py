@@ -586,3 +586,21 @@ class TestUsage:
 
     def test_missing_required(self, capsys):
         assert main(["generate"]) == 2
+
+    def test_parser_is_reused_across_calls(self, capsys):
+        # main parses with one parser per process: neither an option of
+        # one call nor a usage error may change what a later call prints
+        argvs = [
+            ["verify", "--s", "2", "--n", "9", "--format", "json"],
+            ["verify", "--s", "2", "--n", "9"],
+            ["analyze", "--m-range", "5:12", "--with-actual", "--format",
+             "csv"],
+            ["analyze", "--m-range", "5:12", "--format", "csv"],
+            ["oracle", "--m", "3"],
+        ]
+        first = [run(capsys, *argv)[:2] for argv in argvs]
+        assert run(capsys, "verify", "--exhaustive", "--sampled")[0] == 2
+        second = [run(capsys, *argv)[:2] for argv in reversed(argvs)]
+        assert first == second[::-1]
+        assert [code for code, _ in first] == [0] * 5
+        assert first[0][1] != first[1][1] and first[2][1] != first[3][1]

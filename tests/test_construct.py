@@ -315,6 +315,17 @@ class TestConstructForM:
             assert restricted >= best, m
             assert (restricted == best) == bool(valid_levels(m - 1)), m
 
+    @pytest.mark.parametrize(
+        "strategy", ["best_valid", "t1_fallback", "restrict"]
+    )
+    @pytest.mark.parametrize("m", [np.int64(20), np.int32(21), np.int64(25)])
+    def test_numpy_sizes_build_int_words(self, m, strategy):
+        # restrict at m = 20 and 21 builds at a larger n' and deletes the
+        # letters above m: the word it returns must store m as an int too
+        sseq = construct_for_m(m, strategy)
+        assert type(sseq.m) is int and sseq.m == m
+        assert all(type(a) is int for a in sseq.word)
+
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )

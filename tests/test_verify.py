@@ -398,6 +398,89 @@ class TestIsKComplete:
         assert set(kept_all) == {True, False}
 
 
+def _universe_by_definition(u, top):
+    """without, atmost and the unread tree of _universe(u, top), from the
+    sets' bits one by one: bit S stands for the set of the bits of S."""
+    sets = range(1 << u)
+    without = [
+        sum(1 << S for S in sets if not S >> c & 1) for c in range(u)
+    ]
+    atmost = [
+        sum(1 << S for S in sets if S.bit_count() <= s) for s in range(top + 1)
+    ]
+    tree = [0] * u + without
+    for i in range(u - 1, 0, -1):
+        tree[i] = tree[2 * i] & tree[2 * i + 1]
+    return tuple(without), tuple(atmost), tree
+
+
+class TestKeptTables:
+    """_universe keeps the universes of at most 8 letters, and _read takes
+    each letter's leaf, shift and path to the root from a table built once
+    per alphabet size: no call may see what another left behind."""
+
+    def test_kept_universes_survive_reading(self):
+        for u in range(1, 9):
+            for top in range(-1, u + 1):
+                expected = _universe_by_definition(u, top)
+                without, atmost, tree = verify._universe(u, top)
+                assert (without, atmost, tree) == expected, (u, top)
+                verify._read(tree, without, [c % u for c in range(2 * u)])
+                assert tree != expected[2]
+                assert verify._universe(u, top) == expected, (u, top)
+
+    def test_widened_universes_match_their_definition(self):
+        # the kept (8, 8) universe is the base that larger ones widen; a
+        # larger one is not kept, as one at 24 letters takes tens of MB
+        for u in range(9, 12):
+            for top in (-1, 0, 3, u):
+                assert verify._universe(u, top) == _universe_by_definition(
+                    u, top
+                ), (u, top)
+        assert max(u for u, _ in verify._KEPT) == 8
+
+    def test_read_matches_a_full_recompute(self):
+        # each letter updates its leaf and the nodes on its path only;
+        # recomputing every node after each letter must give the same tree
+        rng = random.Random(41)
+        for u in range(1, 13):
+            without, _, tree = verify._universe(u, 0)
+            full = list(tree)
+            letters = [None] + list(range(u)) * 2
+            for c in rng.choices(letters, k=4 * u):
+                if c is not None:
+                    lack = without[c]
+                    full[u + c] = lack | (full[1] & lack) << (1 << c)
+                    for i in range(u - 1, 0, -1):
+                        full[i] = full[2 * i] & full[2 * i + 1]
+                assert verify._read(tree, without, [c]) == full[1]
+                assert tree == full, (u, c)
+
+    def test_mixed_sizes_agree_with_naive(self):
+        # n = 8 is the last kept size, n = 9 and 10 widen the kept base;
+        # the sizes alternate at random so that each one's tables are read
+        # after a pass over another size.  k concatenated permutations
+        # hold every k-sequence, so they pass unless a letter is deleted.
+        rng = random.Random(97)
+        sizes = rng.choices((8, 9, 10), k=150)
+        cases = [(n, rng.randint(1, 4)) for n in sizes] + [(8, 8)] * 8
+        rng.shuffle(cases)
+        verdicts = set()
+        for n, k in cases:
+            letters = range(1, n + 1)
+            if rng.random() < 0.3:
+                word = rng.choices(letters, k=rng.randint(0, 3 * n))
+            else:
+                word = [a for _ in range(k) for a in rng.sample(letters, n)]
+                if rng.random() < 0.5:
+                    del word[rng.randrange(len(word))]
+            w = is_k_complete(word, n, k)
+            expected = naive_least_missing(word, n, k)
+            assert (w and w.permutation) == expected, (word, n, k)
+            verdicts.add((n, k, w is None))
+        assert len(verdicts) == 2 * (3 * 4 + 1)  # each (n, k) passes and fails
+
+
 class TestCompleteness:
     def test_t2_12_prefix_8(self):
         glist = gen_t2(12)
