@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -54,16 +55,19 @@ class ComparisonRow:
 
 def classical_length(m: int) -> int:
     """Length of the classical 1970s constructions (level-1 interposed)."""
+    m = operator.index(m)
     return m * m - 2 * m + 4
 
 
 def zalinescu_length(m: int) -> int:
     # reported for comparison only; no generator exists for this family here
+    m = operator.index(m)
     return m * m - 2 * m + 3
 
 
 def radomirovic_length(m: int) -> int:
     # ceil(m^2 - (7m - 19)/3)
+    m = operator.index(m)
     return m * m - (7 * m - 19) // 3
 
 
@@ -80,15 +84,17 @@ def constant_term(s: int) -> Fraction:
     return Fraction(2 * s * s + 9 * s - 7, 2 * s - 1)
 
 
-def _require_level(s: int, m: int) -> None:
+def _require_level(s: int, m: int) -> tuple[int, int]:
+    s, m = operator.index(s), operator.index(m)
     if s < 2:
         raise ValidationError(f"length formulas require s >= 2, got s={s}")
     validate(s, m - 1)
+    return s, m
 
 
 def skip_cycle_count(s: int, m: int) -> int:
     """Number t of skip cycles (= skip sequences) in the level-s list."""
-    _require_level(s, m)
+    s, m = _require_level(s, m)
     t, rem = divmod(m - 2 * s - 3, 2 * s - 1)
     assert rem == 0 and t >= 0, (s, m)
     return t
@@ -96,13 +102,14 @@ def skip_cycle_count(s: int, m: int) -> int:
 
 def concat_length(s: int, m: int) -> int:
     """Total element count of the level-s list over n = m-1 letters."""
+    s, m = _require_level(s, m)
     t = skip_cycle_count(s, m)
     return 2 * (m - 1) + (2 * s + t * (2 * s - 2)) * (m - 2) + t * (m - s - 1)
 
 
 def predicted_length(s: int, m: int) -> int:
     """Supersequence length via the closed form, exactly."""
-    _require_level(s, m)
+    s, m = _require_level(s, m)
     # ceil(m^2 - coefficient(s)*m + constant_term(s)), with ceil(-x) = -floor(x)
     return m * m - ((5 * s - 3) * m - (2 * s * s + 9 * s - 7)) // (2 * s - 1)
 
@@ -120,7 +127,7 @@ def comparison_table(
     ms: Iterable[int], with_actual: bool = False
 ) -> list[ComparisonRow]:
     """One row per m; best_s/best_len absent when no level is valid."""
-    ms = list(ms)
+    ms = list(map(operator.index, ms))
     bad = next((m for m in ms if not 5 <= m <= 10_000), None)
     if bad is not None:
         raise ValidationError(f"m={bad} outside supported range 5..10000")

@@ -131,7 +131,7 @@ def valid_levels(n: int) -> list[int]:
     Level s needs 2s-1 to divide n-3, so the candidates are s = (d+1)/2 for
     the odd divisors d >= 3 of n-3; the size bound n >= 4s+1 filters them.
     """
-    k = n - 3
+    k = operator.index(n) - 3  # keep the levels plain ints
     divisors = set()
     for d in range(1, math.isqrt(max(k, 0)) + 1):
         if k % d == 0:

@@ -110,39 +110,32 @@ def _universe(u: int, top: int) -> tuple[Seq[int], Seq[int], list[int]]:
     product tree: leaf u + c holds B_c, the sets S that lack c or whose
     S - c was in C at the last c, node i < u the AND of nodes 2i and
     2i + 1, so node 1 holds C, the sets all of whose orderings are
-    subsequences of the word read.  The bitsets of the first letters are
-    the low bits of the kept (8, 8) universe's; each further letter
-    doubles the width.  Universes of at most 8 letters are kept, at most
-    256 bits a bitset, and each call returns a fresh copy of the tree,
-    which _read changes in place."""
-    kept = _KEPT.get((u, top))
-    if kept is None:
-        base_without, base_atmost, _ = _KEPT.get((8, 8), ([], [], []))
-        b = min(u, len(base_without))
-        low = (1 << (1 << b)) - 1
-        without = [x & low for x in base_without[:b]]
-        atmost = [x & low for x in base_atmost[: top + 1]]
-        atmost += [low] * (top + 1 - len(atmost))
-        width = 1 << b
-        for _ in range(b, u):
-            without = [x | x << width for x in without]
-            without.append((1 << width) - 1)
-            atmost = [x | y << width for x, y in zip(atmost, [0] + atmost)]
-            width <<= 1
-        tree = [0] * u + without
-        for i in range(u - 1, 0, -1):
-            tree[i] = tree[2 * i] & tree[2 * i + 1]
-        kept = tuple(without), tuple(atmost), tree
-        if u <= 8 and top <= u:
-            _KEPT[u, top] = kept
-    without, atmost, tree = kept
+    subsequences of the word read.  Universes of at most 8 letters are
+    kept; the tree is a fresh copy, which _read changes in place."""
+    u, top = operator.index(u), operator.index(top)
+    without, atmost, tree = (_kept if u <= 8 else _widened)(u, top)
     return without, atmost, list(tree)
 
 
-# (u, top) -> universe, for u <= 8; the first kept, (8, 8), is the base
-# that the others cut from and larger universes widen
-_KEPT: dict[tuple[int, int], tuple] = {}
-_universe(8, 8)
+def _widened(u: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """_universe(u, top) as tuples, widened a letter at a time (each one
+    doubles the width) from the kept universe of its first min(u - 1, 8)."""
+    b = max(0, min(u - 1, 8))
+    without, atmost, _ = _kept(b, min(top, b)) if b else ((), (), ())
+    width = 1 << b
+    atmost = list(atmost) + [(1 << width) - 1] * (top + 1 - len(atmost))
+    for _ in range(b, u):
+        without = [x | x << width for x in without]
+        without.append((1 << width) - 1)
+        atmost = [x | y << width for x, y in zip(atmost, [0] + atmost)]
+        width <<= 1
+    tree = [0] * u + list(without)
+    for i in range(u - 1, 0, -1):
+        tree[i] = tree[2 * i] & tree[2 * i + 1]
+    return tuple(without), tuple(atmost), tuple(tree)
+
+
+_kept = functools.cache(_widened)
 
 
 @functools.cache
@@ -295,7 +288,7 @@ def quasi_palindrome(sequences: Seq[Seq[int]]) -> BijectionReport:
     Position p maps a = word[p] to b = word[L-1-p]; the scan also visits
     L-1-p and maps b back to a there, so a phi that survives the scan is
     an injective involution on the letters of the word."""
-    word = [a for seq in sequences for a in seq]
+    word = [operator.index(a) for seq in sequences for a in seq]
     L = len(word)
     mapping: dict[int, int] = {}
     for p, (a, b) in enumerate(zip(word, reversed(word))):

@@ -3,6 +3,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from skipseq import (
@@ -192,6 +193,35 @@ class TestComparisonTable:
     def test_best_level_search(self):
         assert best_level(25) == (2, 573)
         assert best_level(7) is None
+
+    def test_numpy_sizes_give_int_rows(self):
+        rows = comparison_table(np.arange(24, 26), with_actual=True)
+        expected = comparison_table([24, 25], with_actual=True)
+        assert rows == expected
+        assert {type(v) for row in rows for v in vars(row).values()} == {int}
+        assert rows_to_json(rows) == rows_to_json(expected)
+        assert rows_to_csv(rows) == rows_to_csv(expected)
+
+    def test_length_formulas_give_ints(self):
+        # numpy sizes come back as ints, and a float size is rejected
+        for size in (np.int64, np.int32):
+            results = [
+                classical_length(size(25)),
+                zalinescu_length(size(25)),
+                radomirovic_length(size(25)),
+                skip_cycle_count(size(3), size(24)),
+                concat_length(size(3), size(24)),
+                predicted_length(size(3), size(24)),
+                *best_level(size(25)),
+                *best_level(size(10)),
+            ]
+            assert results == [579, 578, 573, 3, 502, 526, 2, 573, 2, 83]
+            assert {type(v) for v in results} == {int}
+        for s, m in [(2.0, 10), (2, 10.0)]:
+            with pytest.raises(TypeError):
+                predicted_length(s, m)
+        with pytest.raises(TypeError):
+            classical_length(2.5)
 
     def test_out_of_range_m_rejected(self):
         with pytest.raises(ValidationError, match="m=10001"):

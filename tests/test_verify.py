@@ -430,14 +430,19 @@ class TestKeptTables:
                 assert verify._universe(u, top) == expected, (u, top)
 
     def test_widened_universes_match_their_definition(self):
-        # the kept (8, 8) universe is the base that larger ones widen; a
-        # larger one is not kept, as one at 24 letters takes tens of MB
+        # the kept 8-letter universes are the base that larger ones widen;
+        # a larger one is not kept, as one at 24 letters takes tens of MB
         for u in range(9, 12):
             for top in (-1, 0, 3, u):
                 assert verify._universe(u, top) == _universe_by_definition(
                     u, top
                 ), (u, top)
-        assert max(u for u, _ in verify._KEPT) == 8
+        assert verify._universe(8, 0)[0] is verify._universe(8, 0)[0]
+        assert verify._universe(9, 0)[0] is not verify._universe(9, 0)[0]
+        # no letters at all, as in forward_complete([], 0)
+        for top in (-1, 0, 1):
+            assert verify._universe(0, top) == _universe_by_definition(0, top)
+        assert forward_complete([], 0) is None
 
     def test_read_matches_a_full_recompute(self):
         # each letter updates its leaf and the nodes on its path only;
@@ -773,6 +778,56 @@ class TestResultTypes:
         assert trace == trace_m_sets(gen_ts(3, 18), rho, 12)
         assert (trace.max_size, type(trace.max_size)) == (2, int)
         assert type(trace.terminated_at) is int
+
+    def test_numpy_letters_give_an_int_bijection(self):
+        report = quasi_palindrome([np.array([1, 2]), np.array([2, 1])])
+        assert report.mapping == {1: 1, 2: 2}
+        assert {type(a) for pair in report.mapping.items() for a in pair} == {int}
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    def test_nothing_built_at_import(self, child_report):
+        out = child_report(
+            "import skipseq\n"
+            "print('kept', skipseq.verify._kept.cache_info().currsize)\n"
+        )
+        assert out["kept"] == "0"
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+    )
+    @pytest.mark.parametrize("size", ["int64", "int32"])
+    def test_numpy_sizes_in_a_fresh_interpreter(self, child_report, size):
+        # a fresh process, so that no int call has built a universe first;
+        # repr tells a numpy integer from an int, and a cut list fails with
+        # a witness
+        checks = (forward_complete, backward_complete, strongly_complete)
+        expected = []
+        for n in range(4, 9):
+            cut = list(gen_t1(n).sequences)
+            cut[1] = cut[1][1:]
+            for sequences in (gen_t1(n).sequences, cut):
+                expected += [check(sequences, n) for check in checks]
+        expected += [shortest_supersequence_oracle(m) for m in range(1, 5)]
+        assert any(expected) and None in expected
+        out = child_report(
+            "import numpy as np\n"
+            "from skipseq import backward_complete, forward_complete, gen_t1\n"
+            "from skipseq import shortest_supersequence_oracle\n"
+            "from skipseq import strongly_complete\n"
+            f"size = np.{size}\n"
+            "checks = (forward_complete, backward_complete, strongly_complete)\n"
+            "results = []\n"
+            "for n in range(4, 9):\n"
+            "    cut = list(gen_t1(n).sequences)\n"
+            "    cut[1] = cut[1][1:]\n"
+            "    for sequences in (gen_t1(n).sequences, cut):\n"
+            "        results += [check(sequences, size(n)) for check in checks]\n"
+            "results += [shortest_supersequence_oracle(size(m)) for m in range(1, 5)]\n"
+            "print('results', repr(results))\n"
+        )
+        assert out["results"] == repr(expected)
 
 
 class TestProofRoute:
