@@ -73,12 +73,14 @@ def radomirovic_length(m: int) -> int:
 
 def coefficient(s: int) -> Fraction:
     """The linear-term coefficient (5s-3)/(2s-1); increases to 5/2."""
+    s = operator.index(s)  # a Fraction of ints, whatever int type s is
     if s < 2:
         raise ValidationError(f"coefficient requires s >= 2, got {s}")
     return Fraction(5 * s - 3, 2 * s - 1)
 
 
 def constant_term(s: int) -> Fraction:
+    s = operator.index(s)
     if s < 2:
         raise ValidationError(f"constant_term requires s >= 2, got {s}")
     return Fraction(2 * s * s + 9 * s - 7, 2 * s - 1)

@@ -104,6 +104,7 @@ def _is_valid(s: int, n: int) -> bool:
 def validate(s: int, n: int) -> None:
     """None if level s meets its size/congruence constraints at alphabet
     size n; otherwise raise ValidationError naming the violated bound."""
+    s, n = operator.index(s), operator.index(n)  # 13.0 is not a size
     if s < 1:
         reason = f"level s={s} must be >= 1"
     elif _is_valid(s, n):

@@ -394,12 +394,25 @@ class _Matcher:
         return int(bad[0]) if len(bad) else -1
 
 
-def _check_sampled_alphabet(m: int) -> None:
-    """Reject m outside 1.._CELL_BUDGET, the alphabets a sampled row fits."""
+def _check_sampled_alphabet(m: int) -> int:
+    """m as an int, or ValueError unless in 1.._CELL_BUDGET, the alphabets
+    a sampled row fits."""
+    m = operator.index(m)  # m is a letter of the rows: keep it a plain int
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
     if m > _CELL_BUDGET:
         raise ValueError(f"m={m} exceeds the sampled ceiling {_CELL_BUDGET}")
+    return m
+
+
+def _checked_row(row: Seq[int], n: int) -> Optional[tuple[int, ...]]:
+    """row as checked_word reads it if its letters are distinct ones from
+    1..n, else None: the check of every row a caller hands in."""
+    try:
+        row = checked_word(row, n)
+    except ValueError:
+        return None
+    return row if len(set(row)) == len(row) else None
 
 
 def verify_supersequence_sampled(
@@ -427,20 +440,15 @@ def verify_supersequence_sampled(
     `extra` is matched); each draw is queued before the caller waits for
     the one before it, and all are joined before the call returns.
     """
-    _check_sampled_alphabet(m)
+    m = _check_sampled_alphabet(m)
+    count, seed = operator.index(count), operator.index(seed)
     if count < 1:
         raise ValueError("count must be >= 1")
     if seed < 0:
         raise ValueError(f"seed={seed} must be non-negative")
-    extra = list(extra)
-    if any(len(perm) != m for perm in extra):
-        raise ValueError(f"every extra permutation must have length m={m}")
-    try:  # np.array would truncate a letter that is not an integer
-        extra = [checked_word(perm, m) for perm in extra]
-        valid = all(len(set(perm)) == m for perm in extra)
-    except ValueError:
-        valid = False
-    if not valid:
+    # np.array would truncate a letter that is not an integer
+    extra = [_checked_row(perm, m) for perm in extra]
+    if any(perm is None or len(perm) != m for perm in extra):
         raise ValueError(f"every extra row must be a permutation of 1..{m}")
     # imported here: every other check runs without numpy, which takes
     # about 40 ms and 13 MiB to load
@@ -516,12 +524,8 @@ def trace_m_sets(
         _check_chain_end(glist, k, rho[-1] if len(rho) else None)
     if len(rho) != k:
         raise ValueError(f"rho has length {len(rho)}, expected k={k}")
-    try:
-        rho = checked_word(rho, glist.n)
-        valid = len(set(rho)) == k
-    except ValueError:
-        valid = False
-    if not valid:
+    rho = _checked_row(rho, glist.n)
+    if rho is None:
         raise ValueError("rho must have distinct letters from 1..n")
     steps: list[tuple[int, frozenset[int]]] = []
     removed: set[int] = set()
@@ -572,13 +576,10 @@ def _check_chain_end(
     return `last` as checked_word reads it."""
     if glist.tag(k) != TAG_SKIP:
         raise ValueError(f"k={k} is not a skip-sequence index")
-    try:
-        end = checked_word((last,), glist.n)[0]
-    except ValueError:
-        end = None
-    if end not in skip_letters(glist.s, glist.n):
+    end = _checked_row((last,), glist.n)
+    if end is None or end[0] not in skip_letters(glist.s, glist.n):
         raise ValueError(f"rho[{k}]={last} is not a skip letter")
-    return end
+    return end[0]
 
 
 def _m_set(
@@ -598,8 +599,7 @@ def adversarial_permutations(m: int) -> list[tuple[int, ...]]:
     1..m-1 followed by m.  It is the tight row: in a built word
     m·σ_1·m·…·σ_n·m its greedy embedding ends on the last letter, while
     the identity's ends by letter m + 1 and each rotation's by 2m - 1."""
-    _check_sampled_alphabet(m)
-    m = operator.index(m)  # m is a letter of the row: keep it a plain int
+    m = _check_sampled_alphabet(m)
     return [tuple(range(m - 1, 0, -1)) + (m,)]
 
 

@@ -217,6 +217,10 @@ class TestComparisonTable:
             ]
             assert results == [579, 578, 573, 3, 502, 526, 2, 573, 2, 83]
             assert {type(v) for v in results} == {int}
+            terms = [coefficient(size(3)), constant_term(size(3))]
+            assert terms == [coefficient(3), constant_term(3)]
+            parts = [(t.numerator, t.denominator) for t in terms]
+            assert {type(v) for pair in parts for v in pair} == {int}
         for s, m in [(2.0, 10), (2, 10.0)]:
             with pytest.raises(TypeError):
                 predicted_length(s, m)

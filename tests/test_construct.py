@@ -76,6 +76,14 @@ class TestValidate:
         assert validate(s, above) is None
 
 
+    def test_float_size_rejected(self):
+        # generate and the length formulas refuse 13.0 too
+        for s, n in [(3, 13.0), (3.0, 13), (2, 9.0)]:
+            with pytest.raises(TypeError):
+                validate(s, n)
+        assert validate(np.int64(3), np.int64(13)) is None
+
+
 def _valid(s, n):
     try:
         validate(s, n)

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import json
 import os
 import random
 import re
@@ -757,9 +758,16 @@ class TestResultTypes:
         exhaustive = verify_supersequence_exhaustive(word, np.int64(10))
         assert exhaustive.verdict == "fail"
         sampled = verify_supersequence_sampled(
-            word, np.int64(10), 10, 1, extra=[exhaustive.witness.permutation]
+            word,
+            np.int64(10),
+            10,
+            np.int64(1),
+            extra=[exhaustive.witness.permutation],
         )
         assert sampled.witness == exhaustive.witness
+        # the report stores the int seed its stream was drawn from
+        assert (sampled.seed, type(sampled.seed)) == (1, int)
+        json.dumps(dataclasses.asdict(sampled))
         for report in (exhaustive, sampled):
             assert report.witness.failed_k == 10
             assert type(report.witness.failed_k) is int
@@ -1622,16 +1630,6 @@ class TestAdversarial:
         (row,) = adversarial_permutations(np.int64(10))
         assert row == (9, 8, 7, 6, 5, 4, 3, 2, 1, 10)
         assert all(type(a) is int for a in row)
-
-    def test_family_is_deterministic_and_finite(self):
-        fam1 = adversarial_permutations(14)
-        fam2 = adversarial_permutations(14)
-        assert fam1 == fam2
-        assert all(sorted(p) == list(range(1, 15)) for p in fam1)
-
-    def test_contains_reversal_with_new_letter_last(self):
-        fam = adversarial_permutations(14)
-        assert tuple(range(13, 0, -1)) + (14,) in fam
 
     def test_family_rejects_empty_alphabet(self):
         with pytest.raises(ValueError, match="^alphabet size m=0 must be"):
