@@ -99,8 +99,8 @@ class NextOccurrenceTable:
     """
 
     def __init__(self, word: Seq[int], m: int):
-        self.word = checked_word(word, m)
-        self.m = m
+        self.m = index(m)  # 14.0 is rejected here, not by as_array
+        self.word = checked_word(word, self.m)
         self.absent = len(self.word) + 1
 
     def as_array(self) -> np.ndarray:

@@ -6,10 +6,11 @@ ints with a bit per letter set, the sets all of whose orderings are
 subsequences of the prefix read (completeness runs it once per direction
 for all prefix or suffix depths); the shortest-length oracle searches
 breadth-first over the states of the same pass; sampled checks match
-seeded random permutations in batches of at most 4096 rows against the
-dense or, for long words, the segmented next-occurrence table, so their
-memory is bounded by one cell budget whatever the word's length, and
-draw each batch on a worker thread while the one before it is matched;
+seeded random permutations in batches of at most 4096 rows and a sixth
+of the run against the dense or, for long words, the segmented
+next-occurrence table, so their memory is bounded by one cell budget
+whatever the word's length, and draw each batch on a worker thread while
+the one before it is matched, the first while the table is built;
 and the quasi-palindrome bijection is reconstructed position by position
 from the concatenation.  Only the sampled checks use numpy, and they
 import it on their first call, so that the other checks never load it.
@@ -61,6 +62,11 @@ _CELL_BUDGET = 1 << 21
 # larger batches only hold more memory, while 2048-row ones ran slower
 # at m = 25 with worker and caller on one core (x86-64, numpy 2.4).
 _ROWS = 4096
+
+# Batches a sampled run is cut into at least, within those caps: no match
+# overlaps the first draw and no draw the last match, so a run of two or
+# three batches would leave a third of its draws or matches unoverlapped.
+_BATCHES = 6
 
 # Columns matched between two checks of whether a batch's first row has
 # already failed.
@@ -435,10 +441,15 @@ def verify_supersequence_sampled(
     and budget // (2m) rows (one row above m = 2**20, at most 2m cells in
     all), drawn alternately into two buffers, and the dense table is built
     only when its (L+2)·(m+1) cells fit the budget; a longer word is
-    matched on the segmented table. One worker thread draws every batch,
-    in order, while the caller matches the one before it (the first while
-    `extra` is matched); each draw is queued before the caller waits for
-    the one before it, and all are joined before the call returns.
+    matched on the segmented table. A batch also holds at most
+    ceil(count / `_BATCHES`) rows, so the first draw and the last match,
+    which no match or draw overlaps, are at most a sixth of the run. One
+    worker thread draws every batch, in order, while the caller matches
+    the one before it: the first is queued once the word is checked and
+    drawn while the matcher builds its table (the second buffer is
+    allocated after that build) and `extra` is matched. Each draw is
+    queued before the caller waits for the one before it, and the worker
+    is joined before the call returns or raises.
     """
     m = _check_sampled_alphabet(m)
     count, seed = operator.index(count), operator.index(seed)
@@ -461,27 +472,26 @@ def verify_supersequence_sampled(
 
     start = time.perf_counter()
     table = NextOccurrenceTable(word, m)
-    rows = min(_ROWS, max(1, _CELL_BUDGET // (2 * m)), max(count, len(extra)))
+    cap = min(_ROWS, max(1, _CELL_BUDGET // (2 * m)))
+    rows = min(cap, -(-count // _BATCHES))
     dense = (len(table.word) + 2) * (m + 1) <= _CELL_BUDGET
-    matcher = _Matcher(table, rows, dense)
     rng = np.random.default_rng(seed)
     base = np.arange(1, m + 1, dtype=np.int64)
-    buffers = np.empty((2, min(rows, count), m), dtype=np.int64)
+    buffers = [np.empty((rows, m), dtype=np.int64)]
 
     def draw(lo):
         # the batch from stream index lo, into the buffer of the batch two
         # before it, which the caller has matched
-        batch = buffers[lo // rows % 2, : min(rows, count - lo)]
+        batch = buffers[lo // rows % 2][: min(rows, count - lo)]
         batch[:] = base
         rng.permuted(batch, axis=1, out=batch)
         return batch
 
-    def batches(pool):
+    def batches(pool, pending):
         # each draw is queued before the wait, so the worker never idles
-        pending = [pool.submit(draw, 0)]
         try:
-            for lo in range(0, len(extra), rows):
-                yield family[lo : lo + rows]
+            for lo in range(0, len(extra), cap):
+                yield family[lo : lo + cap]
             for lo in range(rows, count + rows, rows):
                 if lo < count:
                     pending.append(pool.submit(draw, lo))
@@ -491,14 +501,22 @@ def verify_supersequence_sampled(
                 draw_left.result()
 
     checked, witness = 0, None
-    with ThreadPoolExecutor(1) as pool, closing(batches(pool)) as stream:
-        for batch in stream:
-            bad = matcher.first_failure(batch)
-            if bad >= 0:
-                checked += bad + 1
-                witness = Witness(tuple(int(x) for x in batch[bad]))
-                break
-            checked += len(batch)
+    with ThreadPoolExecutor(1) as pool:
+        # the first draw runs while the matcher builds its table, and the
+        # second buffer waits for that build, whose temporaries would
+        # raise the peak; leaving the pool joins the worker, also when
+        # the build raises
+        pending = [pool.submit(draw, 0)]
+        matcher = _Matcher(table, min(cap, max(rows, len(extra))), dense)
+        buffers.append(np.empty_like(buffers[0]))
+        with closing(batches(pool, pending)) as stream:
+            for batch in stream:
+                bad = matcher.first_failure(batch)
+                if bad >= 0:
+                    checked += bad + 1
+                    witness = Witness(tuple(int(x) for x in batch[bad]))
+                    break
+                checked += len(batch)
     stats = {
         "permutations_checked": checked,
         "elapsed_s": time.perf_counter() - start,

@@ -98,6 +98,15 @@ class TestNextOccurrenceTable:
         table = NextOccurrenceTable(np.array([1, 2, 1], dtype=np.uint8), 2)
         assert table.word == (1, 2, 1) and table.absent == 4
 
+    def test_alphabet_size_read_as_index(self):
+        # a float m fails when the table is built, not in as_array
+        word = tuple(range(1, 15)) * 2
+        with pytest.raises(TypeError):
+            NextOccurrenceTable(word, 14.0)
+        table = NextOccurrenceTable(word, np.int64(14))
+        assert type(table.m) is int and table.m == 14
+        assert table.as_array().shape == (30, 15)
+
     def test_invariants_random(self):
         rng = random.Random(7)
         for _ in range(50):

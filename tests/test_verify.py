@@ -1045,6 +1045,23 @@ class TestExhaustive:
 
 
 class TestSampled:
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The row count of every sampled draw, in the order drawn."""
+        default_rng = np.random.default_rng
+        drawn = []
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def permuted(self, batch, *args, **kwargs):
+                drawn.append(len(batch))
+                return self.rng.permuted(batch, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        return drawn
+
     def test_negative_seed_rejected_before_any_build(self, monkeypatch):
         monkeypatch.setattr(verify, "NextOccurrenceTable", None)
         with pytest.raises(ValueError, match="seed=-1 must be non-negative"):
@@ -1159,7 +1176,7 @@ class TestSampled:
         assert hashlib.sha256(repr(perm).encode()).hexdigest()[:16] == digest
         assert not is_subsequence(perm, word)
 
-    def test_reject_stops_within_two_batches(self, monkeypatch):
+    def test_reject_stops_within_two_batches(self, drawn):
         # The m = 99 word with letter 17 deleted from its second half fails
         # at random permutation 86, so only the batch queued while the
         # first is matched is drawn past it: two batches of _ROWS rows,
@@ -1168,18 +1185,6 @@ class TestSampled:
         word = build_supersequence(generate(3, 98)).word
         half = len(word) // 2
         word = word[:half] + tuple(a for a in word[half:] if a != 17)
-        default_rng = np.random.default_rng
-        drawn = []
-
-        class Counting:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-
-            def permuted(self, batch, *args, **kwargs):
-                drawn.append(len(batch))
-                return self.rng.permuted(batch, *args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", Counting)
         report = verify_supersequence_sampled(word, 99, 100_000, seed=7)
         assert report.stats["permutations_checked"] == 86
         perm = report.witness.permutation
@@ -1225,28 +1230,31 @@ class TestSampled:
              "next-2cap-1", "next-2cap", "next-2cap+1"],
     )
     def test_batch_boundary_replays_pinned_values(
-        self, perm, count, checked, fails
+        self, perm, count, checked, fails, monkeypatch
     ):
         # The reversal of a permutation repeated m - 1 times contains every
         # other permutation, so the word fails exactly at that permutation
-        # of the seeded stream. Batches hold _ROWS = 4096 rows at m = 25:
-        # the "cap" permutations are the last of the first batch and the
-        # first of the second, the "2cap" ones the last of the second and
-        # the first of the third, which reuses the first buffer; count runs
-        # over one less than, equal to and one more than the boundary
-        # between the two. The "rows" and "half" permutations pin the
-        # stream where earlier 41 943-row batches met, now inside a batch.
-        # The "rows" values were recorded from the implementation that drew
-        # 100 000-row batches with np.tile, the "half" ones from one that
-        # drew 83 886-row batches into one buffer, the "cap" ones from one
-        # that drew 41 943-row batches.
+        # of the seeded stream. Batches hold _ROWS = 4096 rows at m = 25
+        # when there are at least _BATCHES of them, and always with
+        # _BATCHES = 1: the "cap" permutations are the last of the first
+        # batch and the first of the second, the "2cap" ones the last of
+        # the second and the first of the third, which reuses the first
+        # buffer; count runs over one less than, equal to and one more
+        # than the boundary between the two. The "rows" and "half"
+        # permutations pin the stream where earlier 41 943-row batches
+        # met, now inside a batch. The "rows" values were recorded from
+        # the implementation that drew 100 000-row batches with np.tile,
+        # the "half" ones from one that drew 83 886-row batches into one
+        # buffer, the "cap" ones from one that drew 41 943-row batches.
         assert min(verify._ROWS, verify._CELL_BUDGET // 50) == 4096
         word = tuple(reversed(perm)) * 24
-        report = verify_supersequence_sampled(word, 25, count, seed=11)
-        assert report.stats["permutations_checked"] == checked
-        assert report.passed != fails
-        if fails:
-            assert report.witness.permutation == perm
+        for batches in (verify._BATCHES, 1):
+            monkeypatch.setattr(verify, "_BATCHES", batches)
+            report = verify_supersequence_sampled(word, 25, count, seed=11)
+            assert report.stats["permutations_checked"] == checked
+            assert report.passed != fails
+            if fails:
+                assert report.witness.permutation == perm
 
     def test_pass_counts_every_batch(self):
         # 41 batches at m = 25: forty of 4096 rows and one of 3933
@@ -1364,8 +1372,9 @@ class TestSampled:
         # order, would change some triple at some batch size. The damaged
         # words fail in EXTRA_14 (at its second row) and at random
         # permutation 591; the budgets give m = 14 batches of 1, 2 and 7
-        # rows, and _ROWS caps them at 100, at 4096 by default or at
-        # 2**20, which holds all 3015 rows in one batch.
+        # rows, and _ROWS caps them at 100, or they hold 3000 / _BATCHES
+        # = 500 rows by default, or with _ROWS = 2**20 and _BATCHES = 1
+        # all 3000 random rows in one batch.
         word = build_supersequence(gen_ts(3, 13)).word
         words = [
             word,
@@ -1385,6 +1394,8 @@ class TestSampled:
         monkeypatch.setattr(verify, "_CELL_BUDGET", budget)
         if rows:
             monkeypatch.setattr(verify, "_ROWS", rows)
+        if rows == 1 << 20:
+            monkeypatch.setattr(verify, "_BATCHES", 1)
         assert list(triples()) == expected
 
     def test_concurrent_calls_replay(self, monkeypatch):
@@ -1507,6 +1518,62 @@ class TestSampled:
                 verify_supersequence_sampled(w, 14, 100_000, 5, EXTRA_14)
             assert threading.active_count() == before
 
+    def test_batches_hold_at_most_a_sixth_of_the_run(self, drawn):
+        # Besides the _ROWS and budget // 2m caps, a batch holds at most
+        # ceil(count / 6) rows, so the first draw, which no match overlaps,
+        # and the last match, which no draw overlaps, are each at most a
+        # sixth of a run. At m = 299 the budget alone gave three batches
+        # of 3506 rows.
+        word = build_supersequence(generate(3, 298)).word
+        assert verify_supersequence_sampled(word, 299, 10_000, 1).passed
+        assert drawn == [1667] * 5 + [1665]
+        # runs of at least six budget-sized batches keep their size
+        drawn.clear()
+        word = build_supersequence(gen_ts(4, 24)).word
+        report = verify_supersequence_sampled(word, 25, 6 * 4096 + 1, 1)
+        assert report.stats["permutations_checked"] == 6 * 4096 + 1
+        assert drawn == [4096] * 6 + [1]
+        # the word is checked before any draw starts
+        drawn.clear()
+        with pytest.raises(ValueError, match="letter 15 outside"):
+            verify_supersequence_sampled((1, 2, 15), 14, 10_000, 1)
+        assert drawn == []
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
+    def test_failed_table_build_joins_the_worker(self, dense, drawn, monkeypatch):
+        # The first draw is queued before the matcher builds its table, so
+        # it runs, whole, when that build raises, and the call returns
+        # only after the worker has finished it.
+        word = tuple(range(1, 15)) * (20 if dense else 10_000)
+        assert ((len(word) + 2) * 15 <= verify._CELL_BUDGET) == dense
+
+        def fail(table):
+            raise MemoryError("table build failed")
+
+        monkeypatch.setattr(
+            NextOccurrenceTable, "as_array" if dense else "as_blocks", fail
+        )
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="table build failed"):
+            verify_supersequence_sampled(word, 14, 10_000, 1)
+        assert threading.active_count() == before
+        assert drawn == [1667]
+
+    def test_m299_tracemalloc_peak(self):
+        # two buffers of 1667 rows (3.8 MiB each) beside the segmented
+        # table; three batches of 3506 rows in 8.0 MiB buffers peaked at
+        # 18.4 MiB
+        word = build_supersequence(generate(3, 298)).word
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = verify_supersequence_sampled(word, 299, 10_000, 1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 14 << 20, peak
+
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
@@ -1554,8 +1621,9 @@ class TestSampled:
     )
     def test_m299_segmented_peak_rss(self, child_report):
         # At m = 299 the dense table does not fit the cell budget, so the
-        # CLI matches on the segmented table (about 1 MiB) in batches of
-        # budget // 2m = 3507 rows, fewer than _ROWS.
+        # CLI matches on the segmented table (about 1 MiB) in six batches
+        # of ceil(10 000 / 6) = 1667 rows, fewer than budget // 2m = 3507
+        # and _ROWS.
         out = child_report(
             "import contextlib, io\n"
             "from skipseq import cli\n"
