@@ -215,10 +215,10 @@ def gen_t2(n: int) -> GeneratedList:
 def gen_ts(s: int, n: int) -> GeneratedList:
     """Level-s list (s >= 3): s-1 skip letters cycle through jump / forward /
     skip / recover / forward blocks of 2s-1 sequences."""
+    s, n = operator.index(s), operator.index(n)  # GeneratedList stores s
     if s < 3:
         raise ValidationError(f"gen_ts requires s >= 3, got s={s}")
     validate(s, n)
-    s, n = operator.index(s), operator.index(n)  # GeneratedList stores s
     cyc = 2 * s - 1
     fwd = pslice  # alias keeps the clauses below one line each
     ph = skip_letters(s, n)
@@ -313,9 +313,9 @@ def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
     # analyze imports this module, so the level choice is imported late
     from .analyze import best_level
 
+    m = operator.index(m)  # Supersequence stores m: keep it a plain int
     if m < 5:
         raise ValidationError(f"m={m} must be >= 5")
-    m = operator.index(m)  # Supersequence stores m: keep it a plain int
     n = m - 1
     if strategy == "t1_fallback":
         return build_supersequence(gen_t1(n))

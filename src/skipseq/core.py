@@ -142,13 +142,14 @@ class NextOccurrenceTable:
         index at or after block b's start that holds it, or ``absent``,
         where index p+1 lies in block ``block[p]``: each index goes to its
         block's row, and a running minimum from the last row up carries it
-        back to every earlier row."""
+        back to every earlier row; the scatter's one intp array is each
+        index's flat cell, block·(m+1) + letter."""
         import numpy as np
 
         table = np.full((rows, self.m + 1), self.absent, dtype=np.int32)
-        table[block, np.array(self.word, dtype=np.intp)] = np.arange(
-            1, len(self.word) + 1
-        )
+        cells = np.multiply(block, self.m + 1, dtype=np.intp)
+        cells += np.fromiter(self.word, np.int32, len(self.word))
+        table.ravel()[cells] = np.arange(1, self.absent, dtype=np.int32)
         back = table[::-1]
         np.minimum.accumulate(back, axis=0, out=back)
         return table

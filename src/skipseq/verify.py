@@ -68,10 +68,6 @@ _ROWS = 4096
 # three batches would leave a third of its draws or matches unoverlapped.
 _BATCHES = 6
 
-# Columns matched between two checks of whether a batch's first row has
-# already failed.
-_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -189,6 +185,7 @@ def is_k_complete(word: Seq[int], n: int, k: int) -> Optional[Witness]:
     verdict's pass) until keeping every C_q fits in the bytes the first
     pass held; that pass then answers the remaining steps.
     """
+    n, k = operator.index(n), operator.index(k)  # 0.0 is not a depth
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
     word = checked_word(word, n)
@@ -312,6 +309,7 @@ def verify_supersequence_exhaustive(
     """Check that every permutation of {1..m} is a subsequence of word,
     for m up to EXHAUSTIVE_LIMIT; is_k_complete(word, m, m) has no
     ceiling."""
+    m = operator.index(m)  # 26.0 is not a size
     if m < 1:
         raise ValueError(f"alphabet size m={m} must be at least 1")
     if m > EXHAUSTIVE_LIMIT:
@@ -326,8 +324,9 @@ def verify_supersequence_exhaustive(
 
 
 class _Matcher:
-    """Greedy matching of batches of up to `rows` permutation rows against
-    a word, in buffers allocated once.
+    """Greedy matching of batches of permutation rows against a word's
+    table: the dense form when its (L+2)·(m+1) cells fit `_CELL_BUDGET`,
+    else the segmented one.
 
     Dense: the int32 ``as_array`` table scaled by its width, so that a
     position is held as the offset of its row and a step is one add and
@@ -338,64 +337,55 @@ class _Matcher:
     indices is np.intp, which np.take reads without a converted copy.
     """
 
-    def __init__(self, table: NextOccurrenceTable, rows: int, dense: bool):
+    def __init__(self, table: NextOccurrenceTable):
         import numpy as np
 
-        self.dense = dense
-        if dense:
-            self.scale = table.m + 1
+        self.dense = (len(table.word) + 2) * (table.m + 1) <= _CELL_BUDGET
+        self.scale = table.m + 1 if self.dense else 1
+        if self.dense:
             self.flat = table.as_array().ravel()
             self.flat *= self.scale
         else:
-            self.scale = 1
             first, block = table.as_blocks()
             self.flat = first.ravel()
             self.after = self.flat[first.shape[1] :]
             self.block = block.astype(np.intp)
             self.block *= first.shape[1]
-            self.firsts = np.empty((2, rows), dtype=np.int32)
-            self.mask = np.empty(rows, dtype=bool)
         self.limit = table.absent * self.scale
-        self.pos = np.empty(rows, dtype=np.int32 if dense else np.intp)
-        self.idx = np.empty(rows, dtype=np.intp)
 
     def advance(self, pos: np.ndarray, perms: np.ndarray) -> None:
-        """Greedy-match each row of perms from its entry of pos, a slice of
-        a buffer like `self.pos`, and overwrite it with the end position."""
+        """Greedy-match each row of perms from its entry of pos (int32 if
+        dense, else np.intp) and overwrite it with the end position, up to
+        the first column at which row 0 fails; work arrays are per call."""
         import numpy as np
 
-        n = len(pos)
-        idx = self.idx[:n]
-        if self.dense:
-            for letters in perms.T:
+        idx = np.empty(len(pos), dtype=np.intp)
+        if not self.dense:
+            near, far = np.empty((2, len(pos)), dtype=np.int32)
+            mask = np.empty(len(pos), dtype=bool)
+        for letters in perms.T:
+            if self.dense:
                 np.add(pos, letters, out=idx)
                 np.take(self.flat, idx, out=pos, mode="clip")
-            return
-        near, far = self.firsts[:, :n]
-        mask = self.mask[:n]
-        for letters in perms.T:
-            np.take(self.block, pos, out=idx, mode="clip")
-            np.add(idx, letters, out=idx)
-            np.take(self.flat, idx, out=near, mode="clip")
-            np.take(self.after, idx, out=far, mode="clip")
-            np.greater(near, pos, out=mask)
-            np.copyto(pos, far)
-            np.copyto(pos, near, where=mask)
+            else:
+                np.take(self.block, pos, out=idx, mode="clip")
+                np.add(idx, letters, out=idx)
+                np.take(self.flat, idx, out=near, mode="clip")
+                np.take(self.after, idx, out=far, mode="clip")
+                np.greater(near, pos, out=mask)
+                np.copyto(pos, far)
+                np.copyto(pos, near, where=mask)
+            if pos[0] >= self.limit:
+                return
 
     def first_failure(self, perms: np.ndarray) -> int:
         """Index of the first row of perms the word does not contain, or -1.
-
-        Columns are matched `_CHUNK` at a time, and the walk stops as soon
-        as row 0 has failed, since it is then the first failing row: a long
-        permutation that fails early costs one chunk, not m columns."""
+        A failing row 0, then the first failing row, stops `advance`: a
+        permutation that fails at its first letter costs one column."""
         import numpy as np
 
-        pos = self.pos[: len(perms)]
-        pos.fill(0)
-        for lo in range(0, perms.shape[1], _CHUNK):
-            self.advance(pos, perms[:, lo : lo + _CHUNK])
-            if pos[0] >= self.limit:
-                return 0
+        pos = np.zeros(len(perms), dtype=np.int32 if self.dense else np.intp)
+        self.advance(pos, perms)
         bad = np.flatnonzero(pos >= self.limit)
         return int(bad[0]) if len(bad) else -1
 
@@ -474,7 +464,6 @@ def verify_supersequence_sampled(
     table = NextOccurrenceTable(word, m)
     cap = min(_ROWS, max(1, _CELL_BUDGET // (2 * m)))
     rows = min(cap, -(-count // _BATCHES))
-    dense = (len(table.word) + 2) * (m + 1) <= _CELL_BUDGET
     rng = np.random.default_rng(seed)
     base = np.arange(1, m + 1, dtype=np.int64)
     buffers = [np.empty((rows, m), dtype=np.int64)]
@@ -507,7 +496,7 @@ def verify_supersequence_sampled(
         # raise the peak; leaving the pool joins the worker, also when
         # the build raises
         pending = [pool.submit(draw, 0)]
-        matcher = _Matcher(table, min(cap, max(rows, len(extra))), dense)
+        matcher = _Matcher(table)
         buffers.append(np.empty_like(buffers[0]))
         with closing(batches(pool, pending)) as stream:
             for batch in stream:
@@ -635,6 +624,7 @@ def shortest_supersequence_oracle(m: int) -> tuple[int, tuple[int, ...]]:
     a supersequence exists, so the search ends.  Only desk-scale alphabets
     (m <= 5) are supported: m = 5 takes seconds and about 0.6 GiB.
     """
+    m = operator.index(m)  # 6.0 is not a size
     if not 1 <= m <= 5:
         raise ValueError(f"oracle supports 1 <= m <= 5, got m={m}")
     without, _, tree = _universe(m, 0)

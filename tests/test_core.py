@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,25 @@ class TestNextOccurrenceTable:
                     near = first[b, a]
                     got = near if near > g else first[b + 1, a]
                     assert got == golden.next_after(word, g, a), (word, g, a)
+
+    def test_table_build_temporaries_per_letter(self):
+        # beside the arrays it returns, a build holds one intp array of flat
+        # cells and one int32 array of letters or positions (12 bytes a
+        # letter), plus as_array's int64 positions; the scatter by
+        # (block, letter) index pair with int64 positions held 16.5 and
+        # 24.2 bytes a letter. numpy is imported above, before measuring
+        rng = random.Random(3)
+        word = tuple(rng.randint(1, 5) for _ in range(100_000))
+        t = NextOccurrenceTable(word, 5)
+        for build, per_letter in ((t.as_blocks, 14), (t.as_array, 22)):
+            tracemalloc.start()
+            try:
+                built = build()
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del built
+            assert peak - held <= per_letter * len(word), (build, peak - held)
 
     def test_as_blocks_are_maximal_runs_of_distinct_letters(self):
         t = NextOccurrenceTable((1, 2, 1, 3, 2, 2, 4), 4)

@@ -21,6 +21,7 @@ import golden
 from skipseq import (
     backward_complete,
     build_supersequence,
+    construct_for_m,
     forward_complete,
     gen_t1,
     gen_t2,
@@ -324,6 +325,54 @@ def test_int_tuple_is_checked_without_a_copy():
     word = build_supersequence(generate(3, 13)).word
     assert checked_word(word, 14) is word
     assert NextOccurrenceTable(word, 14).word is word
+
+
+def _exhaustive_t3_13(m):
+    word = build_supersequence(gen_ts(3, 13)).word
+    return verify_supersequence_exhaustive(word, m).witness
+
+
+def _k_complete_t3_13(k):
+    return is_k_complete(build_supersequence(gen_ts(3, 13)).word, 14, k)
+
+
+@pytest.mark.parametrize(
+    "call, size",
+    [
+        (lambda s: gen_ts(s, 13), 2),
+        (lambda s: gen_ts(s, 13), 3),
+        (construct_for_m, 4),
+        (construct_for_m, 6),
+        (shortest_supersequence_oracle, 6),
+        (shortest_supersequence_oracle, 3),
+        (_exhaustive_t3_13, 26),
+        (_exhaustive_t3_13, 0),
+        (_exhaustive_t3_13, 14),
+        (_k_complete_t3_13, 0),
+        (_k_complete_t3_13, 3),
+    ],
+    ids=[
+        "gen_ts-s2", "gen_ts-s3", "construct_for_m-4", "construct_for_m-6",
+        "oracle-6", "oracle-3", "exhaustive-26", "exhaustive-0",
+        "exhaustive-14", "is_k_complete-k0", "is_k_complete-k3",
+    ],
+)
+def test_float_size_raises_type_error_whatever_its_value(call, size):
+    # a float size is read through operator.index before any range check,
+    # so an out-of-range one raises TypeError, not the range's ValueError;
+    # numpy sizes give what the int gives, a result or the same ValueError
+    with pytest.raises(TypeError):
+        call(float(size))
+
+    def outcome(x):
+        try:
+            return call(x)
+        except ValueError as e:
+            return type(e), str(e)
+
+    expected = outcome(size)
+    for numpy_size in (np.int64(size), np.int32(size)):
+        assert outcome(numpy_size) == expected
 
 
 class TestIsKComplete:
@@ -1264,9 +1313,11 @@ class TestSampled:
         assert report.stats["permutations_checked"] == 167_773
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
-    def test_matcher_step_matches_next_after(self, dense):
+    def test_matcher_step_matches_next_after(self, dense, monkeypatch):
         # one step from every position 0..L+1 with every letter, on
         # repeated, absent and single letters and the empty word
+        if not dense:
+            monkeypatch.setattr(verify, "_CELL_BUDGET", 0)
         rng = random.Random(23)
         words = [((), 3), ((1,) * 15, 2), ((2, 1, 2, 1, 1), 3)]
         for _ in range(40):
@@ -1279,8 +1330,9 @@ class TestSampled:
             table = verify.NextOccurrenceTable(word, m)
             g, a = np.divmod(np.arange((len(word) + 2) * m), m)
             a += 1
-            matcher = verify._Matcher(table, len(g), dense)
-            pos = (g * matcher.scale).astype(matcher.pos.dtype)
+            matcher = verify._Matcher(table)
+            assert matcher.dense == dense
+            pos = (g * matcher.scale).astype(np.int32 if dense else np.intp)
             matcher.advance(pos, a[:, None])
             expected = [
                 golden.next_after(word, int(p), int(c)) for p, c in zip(g, a)
@@ -1288,7 +1340,9 @@ class TestSampled:
             assert (pos // matcher.scale).tolist() == expected, word
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
-    def test_matcher_first_failure_matches_naive(self, dense):
+    def test_matcher_first_failure_matches_naive(self, dense, monkeypatch):
+        if not dense:
+            monkeypatch.setattr(verify, "_CELL_BUDGET", 0)
         rng = random.Random(29)
         for _ in range(150):
             m = rng.randint(1, 6)
@@ -1300,19 +1354,23 @@ class TestSampled:
                 -1,
             )
             table = verify.NextOccurrenceTable(word, m)
-            matcher = verify._Matcher(table, 40, dense)
+            matcher = verify._Matcher(table)
+            assert matcher.dense == dense
             batch = np.array(perms, dtype=np.int64)
             assert matcher.first_failure(batch) == expected, (word, perms)
-            # a shorter batch reuses the same buffers
+            # the same matcher takes a batch of any length
             assert matcher.first_failure(batch[:1]) == (0 if expected == 0 else -1)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
-    def test_matcher_first_failure_past_a_chunk(self, dense):
-        # m > 64, so a batch is matched in several chunks of columns. The
+    def test_matcher_first_failure_past_a_chunk(self, dense, monkeypatch):
+        # m > 64, and a row after row 0 often fails past column 63, so
+        # only a walk over every column while row 0 passes finds it. The
         # word starts with a base permutation, sometimes with one letter
         # cut; row 0 is the base and the other rows are the base, the base
         # with two letters swapped (often both past column 62) or fresh
         # draws.
+        if not dense:
+            monkeypatch.setattr(verify, "_CELL_BUDGET", 0)
         rng = random.Random(31)
         late = 0
         for _ in range(60):
@@ -1343,15 +1401,36 @@ class TestSampled:
                 it = iter(word)
                 late += sum(c in it for c in perms[expected]) >= 64
             table = verify.NextOccurrenceTable(word, m)
-            matcher = verify._Matcher(table, 12, dense)
+            matcher = verify._Matcher(table)
+            assert matcher.dense == dense
             batch = np.array(perms, dtype=np.int64)
             assert matcher.first_failure(batch) == expected, (word, perms)
-        # row 0 passes and a later row fails past the first chunk
+        # row 0 passes and a later row fails past its 64th letter
         assert late >= 20
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "segmented"])
+    def test_advance_stops_at_the_column_where_row_0_fails(
+        self, dense, monkeypatch
+    ):
+        # row 0 fails at its second letter, column 1: the walk stops
+        # there, so row 1 holds its position after two letters, not after
+        # all three
+        if not dense:
+            monkeypatch.setattr(verify, "_CELL_BUDGET", 0)
+        word = (1, 2, 3, 2)
+        perms = [(3, 1, 2), (1, 2, 3)]
+        matcher = verify._Matcher(verify.NextOccurrenceTable(word, 3))
+        assert matcher.dense == dense
+        pos = np.zeros(2, dtype=np.int32 if dense else np.intp)
+        matcher.advance(pos, np.array(perms, dtype=np.int64))
+        row1 = golden.next_after(word, golden.next_after(word, 0, 1), 2)
+        assert row1 == 2
+        assert (pos // matcher.scale).tolist() == [len(word) + 1, row1]
+        assert matcher.first_failure(np.array(perms, dtype=np.int64)) == 0
+
     def test_long_permutation_failing_early_stops_at_first_chunk(self):
-        # the only row fails at its third letter; matching all 2**19
-        # columns would take about 2.4 s
+        # the only row fails at its third letter, where matching stops;
+        # matching all 2**19 columns would take about 2.4 s
         start = time.perf_counter()
         report = verify_supersequence_sampled((1, 2), 1 << 19, 1, 0)
         assert time.perf_counter() - start < 1.0
