@@ -119,35 +119,33 @@ def predicted_length(s: int, m: int) -> int:
 def best_level(m: int) -> Optional[tuple[int, int]]:
     """(s, predicted length) minimizing length over valid levels s >= 2;
     ties break to the smaller s."""
-    best = min(
-        ((predicted_length(s, m), s) for s in valid_levels(m - 1)), default=None
-    )
-    return None if best is None else (best[1], best[0])
+    levels = ((s, predicted_length(s, m)) for s in valid_levels(m - 1))
+    return min(levels, key=lambda level: level[::-1], default=None)
 
 
 def comparison_table(
     ms: Iterable[int], with_actual: bool = False
 ) -> list[ComparisonRow]:
     """One row per m; best_s/best_len absent when no level is valid."""
-    ms = list(map(operator.index, ms))
-    bad = next((m for m in ms if not 5 <= m <= 10_000), None)
-    if bad is not None:
-        raise ValidationError(f"m={bad} outside supported range 5..10000")
+    checked = []  # every m is checked before any row is computed
+    for m in map(operator.index, ms):
+        if not 5 <= m <= 10_000:
+            raise ValidationError(f"m={m} outside supported range 5..10000")
+        checked.append(m)
     rows = []
-    for m in ms:
-        best = best_level(m)
+    for m in checked:
+        best_s, best_len = best_level(m) or (None, None)
         actual = None
-        if with_actual and best is not None:
-            # interposition adds n + 1 = m letters
-            actual = generate(best[0], m - 1).total_elements + m
+        if with_actual and best_s:  # interposition adds n + 1 = m letters
+            actual = generate(best_s, m - 1).total_elements + m
         rows.append(
             ComparisonRow(
                 m=m,
                 classical=classical_length(m),
                 zalinescu=zalinescu_length(m),
                 radomirovic=radomirovic_length(m),
-                best_s=best[0] if best else None,
-                best_len=best[1] if best else None,
+                best_s=best_s,
+                best_len=best_len,
                 actual=actual,
             )
         )

@@ -15,6 +15,7 @@ only that head of it (``_t1_head``), not the whole list.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -316,18 +317,13 @@ def construct_for_m(m: int, strategy: str = "best_valid") -> Supersequence:
     m = operator.index(m)  # Supersequence stores m: keep it a plain int
     if m < 5:
         raise ValidationError(f"m={m} must be >= 5")
+    if strategy not in ("best_valid", "t1_fallback", "restrict"):
+        raise ValidationError(f"unknown strategy {strategy!r}")
     n = m - 1
-    if strategy == "t1_fallback":
-        return build_supersequence(gen_t1(n))
-    if strategy == "best_valid":
-        best = best_level(m)
-        return build_supersequence(generate(best[0], n) if best else gen_t1(n))
-    if strategy == "restrict":
-        np_ = next(v for v in range(n, n + 30) if valid_levels(v))
-        s, _ = best_level(np_ + 1)
-        full = build_supersequence(generate(s, np_))
-        if np_ == n:  # no letter exceeds m
-            return full
-        word = tuple(a for a in full.word if a <= m)
-        return Supersequence(word, m)
-    raise ValidationError(f"unknown strategy {strategy!r}")
+    if strategy == "restrict":  # 9 and every multiple of 3 above it are valid
+        n = next(v for v in itertools.count(n) if valid_levels(v))
+    best = None if strategy == "t1_fallback" else best_level(n + 1)
+    full = build_supersequence(generate(best[0], n) if best else gen_t1(n))
+    if n == m - 1:  # no letter exceeds m
+        return full
+    return Supersequence(tuple(a for a in full.word if a <= m), m)

@@ -8,9 +8,9 @@ for all prefix or suffix depths); the shortest-length oracle searches
 breadth-first over the states of the same pass; sampled checks match
 seeded random permutations in batches of at most 4096 rows and a sixth
 of the run against the dense or, for long words, the segmented
-next-occurrence table, so their memory is bounded by one cell budget
-whatever the word's length, and draw each batch on a worker thread while
-the one before it is matched, the first while the table is built;
+next-occurrence table (a cell budget bounds the batches and the dense
+table, not the segmented one), and draw each batch on a worker thread
+while the one before it is matched, the first while the table is built;
 and the quasi-palindrome bijection is reconstructed position by position
 from the concatenation.  Only the sampled checks use numpy, and they
 import it on their first call, so that the other checks never load it.
@@ -54,7 +54,8 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 25
 
 # Cells that the two batch buffers of sampled permutations together
-# (int64) or the dense next-occurrence table (int32, 8 MiB) may hold.
+# (int64) or the dense next-occurrence table (int32, 8 MiB) may hold; the
+# segmented table, about m**2 cells for the paper's words, is outside it.
 _CELL_BUDGET = 1 << 21
 
 # Rows in a sampled batch, within the budget (which is smaller from
@@ -426,12 +427,14 @@ def verify_supersequence_sampled(
     permutations are drawn row by row from one stream, so the batch size
     changes neither them nor the witness nor ``permutations_checked``.
 
-    Memory is bounded by `_CELL_BUDGET`, 2**21 cells, which m may not
-    exceed: permutations are matched in batches of at most `_ROWS` (4096)
-    and budget // (2m) rows (one row above m = 2**20, at most 2m cells in
-    all), drawn alternately into two buffers, and the dense table is built
-    only when its (L+2)·(m+1) cells fit the budget; a longer word is
-    matched on the segmented table. A batch also holds at most
+    `_CELL_BUDGET`, 2**21 cells, which m may not exceed, bounds the batch
+    buffers and the dense table: permutations are matched in batches of at
+    most `_ROWS` (4096) and budget // (2m) rows (one row above m = 2**20,
+    at most 2m cells in all), drawn alternately into two buffers, and the
+    dense table is built only when its (L+2)·(m+1) cells fit the budget. A
+    longer word is matched on the segmented table: (B+2)·(m+1) cells for B
+    runs of distinct letters, outside the budget, about m**2 for the
+    paper's words but L·m for 1, 1, 1, …. A batch also holds at most
     ceil(count / `_BATCHES`) rows, so the first draw and the last match,
     which no match or draw overlaps, are at most a sixth of the run. One
     worker thread draws every batch, in order, while the caller matches

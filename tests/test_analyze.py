@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import defaultdict
@@ -238,6 +239,14 @@ class TestComparisonTable:
         monkeypatch.setattr(analyze, "best_level", no_rows)
         with pytest.raises(ValidationError):
             comparison_table([5, 6, 10_001])
+
+    def test_reads_no_further_than_the_first_bad_m(self):
+        def unread():
+            raise AssertionError("m read past the first one out of range")
+            yield
+
+        with pytest.raises(ValidationError, match="m=10001"):
+            comparison_table(itertools.chain([5, 6, 10_001], unread()))
 
 
 def test_levels_match_congruence_rule():

@@ -20,11 +20,11 @@ from skipseq import (
     generate,
     validate,
 )
-from skipseq.analyze import best_level
 from skipseq.construct import (
     TAG_FINAL,
     TAG_INITIAL,
     TAG_SKIP,
+    Supersequence,
     construct_for_m,
     phi_reverse,
     skip_letters,
@@ -304,15 +304,27 @@ class TestConstructForM:
             assert set(sseq.word) == set(range(1, m + 1))
             assert verify_supersequence_exhaustive(sseq.word, m).passed
 
-    def test_restrict_is_the_restricted_build(self):
-        for m in range(5, 81):
-            n = next(v for v in itertools.count(m - 1) if valid_levels(v))
-            full = build_supersequence(generate(best_level(n + 1)[0], n))
-            sseq = construct_for_m(m, "restrict")
-            assert sseq.word == tuple(a for a in full.word if a <= m), m
-            assert sseq.m == m
-            if n == m - 1:
-                assert sseq == construct_for_m(m, "best_valid")
+    @pytest.mark.parametrize(
+        "strategy", ["best_valid", "t1_fallback", "restrict"]
+    )
+    def test_strategy_is_its_definition(self, strategy):
+        def shortest(n):
+            # the shortest word built at a level s >= 2 valid at n, the
+            # smaller s on a tie, else the level-1 word
+            words = [build_supersequence(generate(s, n)) for s in valid_levels(n)]
+            best = min(words, key=lambda sseq: sseq.length, default=None)
+            return best or build_supersequence(gen_t1(n))
+
+        for m in range(5, 121):
+            if strategy == "t1_fallback":
+                expected = build_supersequence(gen_t1(m - 1))
+            elif strategy == "best_valid":
+                expected = shortest(m - 1)
+            else:  # the shortest word at the next n with a valid level, restricted
+                n = next(v for v in itertools.count(m - 1) if valid_levels(v))
+                word = tuple(a for a in shortest(n).word if a <= m)
+                expected = Supersequence(word, m)
+            assert construct_for_m(m, strategy) == expected, m
 
     def test_restrict_never_beats_best_valid(self):
         # restrict builds at a larger n' whenever no level s >= 2 is valid
