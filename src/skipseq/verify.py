@@ -10,8 +10,9 @@ seeded random permutations in batches of at most 4096 rows and a sixth
 of the run against the dense or, for long words, the segmented
 next-occurrence table (a cell budget bounds the batches and the dense
 table, not the segmented one), and draw each batch on a worker thread
-while the one before it is matched, the first while the table is built;
-and the quasi-palindrome bijection is reconstructed position by position
+while the one before it is matched, the first while the table is built,
+through an int64 scratch into rows stored at the letters' width; and
+the quasi-palindrome bijection is reconstructed position by position
 from the concatenation.  Only the sampled checks use numpy, and they
 import it on their first call, so that the other checks never load it.
 """
@@ -54,8 +55,11 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 25
 
 # Cells that the two batch buffers of sampled permutations together
-# (int64) or the dense next-occurrence table (int32, 8 MiB) may hold; the
-# segmented table, about m**2 cells for the paper's words, is outside it.
+# (rows at the letters' width: uint8 up to m = 255, uint16 up to 65 535,
+# else uint32) or the dense next-occurrence table (int32, 8 MiB) may
+# hold; the segmented table, about m**2 cells for the paper's words, is
+# outside it, and so is the worker's int64 scratch, at most one buffer's
+# bytes.
 _CELL_BUDGET = 1 << 21
 
 # Rows in a sampled batch, within the budget (which is smaller from
@@ -281,8 +285,17 @@ def backward_complete(sequences: Seq[Seq[int]], n: int) -> Optional[Witness]:
 
 
 def strongly_complete(sequences: Seq[Seq[int]], n: int) -> Optional[Witness]:
-    """Both directions; the returned witness records which one failed."""
-    return forward_complete(sequences, n) or backward_complete(sequences, n)
+    """Both directions; the returned witness records which one failed.
+
+    The backward pass runs only when quasi_palindrome finds no bijection
+    phi: with one, the last k sequences are the reversed phi-image of the
+    first k, and as the forward pass found every letter of 1..n in the
+    first sequence, phi permutes 1..n; k-completeness survives relabelling
+    by a permutation and reversal, so backward follows from forward."""
+    witness = forward_complete(sequences, n)
+    if witness is None and quasi_palindrome(sequences).found:
+        return None
+    return witness or backward_complete(sequences, n)
 
 
 def quasi_palindrome(sequences: Seq[Seq[int]]) -> BijectionReport:
@@ -357,7 +370,8 @@ class _Matcher:
     def advance(self, pos: np.ndarray, perms: np.ndarray) -> None:
         """Greedy-match each row of perms from its entry of pos (int32 if
         dense, else np.intp) and overwrite it with the end position, up to
-        the first column at which row 0 fails; work arrays are per call."""
+        the first column at which row 0 fails; work arrays are per call.
+        The letters are read at their width, which np.add widens."""
         import numpy as np
 
         idx = np.empty(len(pos), dtype=np.intp)
@@ -430,19 +444,27 @@ def verify_supersequence_sampled(
     `_CELL_BUDGET`, 2**21 cells, which m may not exceed, bounds the batch
     buffers and the dense table: permutations are matched in batches of at
     most `_ROWS` (4096) and budget // (2m) rows (one row above m = 2**20,
-    at most 2m cells in all), drawn alternately into two buffers, and the
-    dense table is built only when its (L+2)·(m+1) cells fit the budget. A
-    longer word is matched on the segmented table: (B+2)·(m+1) cells for B
-    runs of distinct letters, outside the budget, about m**2 for the
-    paper's words but L·m for 1, 1, 1, …. A batch also holds at most
-    ceil(count / `_BATCHES`) rows, so the first draw and the last match,
-    which no match or draw overlaps, are at most a sixth of the run. One
-    worker thread draws every batch, in order, while the caller matches
-    the one before it: the first is queued once the word is checked and
-    drawn while the matcher builds its table (the second buffer is
-    allocated after that build) and `extra` is matched. Each draw is
-    queued before the caller waits for the one before it, and the worker
-    is joined before the call returns or raises.
+    at most 2m cells in all), drawn alternately into two buffers whose
+    rows are stored at the letters' width (np.min_scalar_type(m): uint8
+    up to m = 255, uint16 up to 65 535), and the dense table is built only
+    when its (L+2)·(m+1) cells fit the budget. Generator.permuted is fast
+    on 8-byte items alone, so a batch is shuffled in chunks of
+    max(1, rows·itemsize // 8) rows in an int64 scratch of the worker's
+    and cast into its buffer; permuted draws row by row, so the chunks
+    change no row. A longer word is matched on the segmented table:
+    (B+2)·(m+1) cells for B runs of distinct letters, outside the budget,
+    about m**2 for the paper's words and up to L·m for a word such as
+    1, 2, …, m, 1, 1, 1, …. A word that lacks a letter of 1..m builds no
+    table: every permutation holds every letter, so the first row checked
+    (the first of `extra`, else the first drawn) is the witness. A batch
+    also holds at most ceil(count / `_BATCHES`) rows, so the first draw
+    and the last match, which no match or draw overlaps, are at most a
+    sixth of the run. One worker thread draws every batch, in order,
+    while the caller matches the one before it: the first is queued once
+    the word is checked and drawn while the matcher builds its table (the
+    second buffer is allocated after that build) and `extra` is matched.
+    Each draw is queued before the caller waits for the one before it,
+    and the worker is joined before the call returns or raises.
     """
     m = _check_sampled_alphabet(m)
     count, seed = operator.index(count), operator.index(seed)
@@ -458,7 +480,8 @@ def verify_supersequence_sampled(
     # about 40 ms and 13 MiB to load
     import numpy as np
 
-    family = np.array(extra, dtype=np.int64).reshape(len(extra), m)
+    letter = np.min_scalar_type(m)  # the rows' dtype, not the draws'
+    family = np.array(extra, dtype=letter).reshape(len(extra), m)
     # imported here: logging, which it loads, would add about 5 ms to
     # every import of skipseq
     from concurrent.futures import ThreadPoolExecutor
@@ -469,14 +492,22 @@ def verify_supersequence_sampled(
     rows = min(cap, -(-count // _BATCHES))
     rng = np.random.default_rng(seed)
     base = np.arange(1, m + 1, dtype=np.int64)
-    buffers = [np.empty((rows, m), dtype=np.int64)]
+    buffers = [np.empty((rows, m), dtype=letter)]
+    # the worker's int64 scratch holds no more bytes than one buffer
+    # (than one int64 row, if that is more)
+    step = max(1, rows * letter.itemsize // 8)
+    scratch = np.empty((step, m), dtype=np.int64)
 
     def draw(lo):
         # the batch from stream index lo, into the buffer of the batch two
-        # before it, which the caller has matched
+        # before it, which the caller has matched, a chunk of rows at a
+        # time; permuted draws row by row, so chunks change no row
         batch = buffers[lo // rows % 2][: min(rows, count - lo)]
-        batch[:] = base
-        rng.permuted(batch, axis=1, out=batch)
+        for at in range(0, len(batch), step):
+            chunk = scratch[: len(batch) - at]
+            chunk[:] = base
+            rng.permuted(chunk, axis=1, out=chunk)
+            batch[at : at + step] = chunk
         return batch
 
     def batches(pool, pending):
@@ -499,16 +530,23 @@ def verify_supersequence_sampled(
         # raise the peak; leaving the pool joins the worker, also when
         # the build raises
         pending = [pool.submit(draw, 0)]
-        matcher = _Matcher(table)
-        buffers.append(np.empty_like(buffers[0]))
-        with closing(batches(pool, pending)) as stream:
-            for batch in stream:
-                bad = matcher.first_failure(batch)
-                if bad >= 0:
-                    checked += bad + 1
-                    witness = Witness(tuple(int(x) for x in batch[bad]))
-                    break
-                checked += len(batch)
+        if len(set(table.word)) < m:
+            # every permutation holds every letter, so the first row fails
+            # and no table is built
+            drawn = pending.pop().result()  # a failed draw still raises
+            first = (family if len(extra) else drawn)[0]
+            checked, witness = 1, Witness(tuple(int(x) for x in first))
+        else:
+            matcher = _Matcher(table)
+            buffers.append(np.empty_like(buffers[0]))
+            with closing(batches(pool, pending)) as stream:
+                for batch in stream:
+                    bad = matcher.first_failure(batch)
+                    if bad >= 0:
+                        checked += bad + 1
+                        witness = Witness(tuple(int(x) for x in batch[bad]))
+                        break
+                    checked += len(batch)
     stats = {
         "permutations_checked": checked,
         "elapsed_s": time.perf_counter() - start,

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -641,7 +642,8 @@ class TestCompleteness:
         monkeypatch.setattr(verify, "_universe", counted)
         sequences = gen_t2(12).sequences
         assert strongly_complete(sequences, 12) is None
-        assert calls == [(12, 12), (12, 12)]
+        # the list has its bijection, so no backward pass runs
+        assert calls == [(12, 12)]
         damaged = list(sequences)
         damaged[5] = damaged[5][1:]
         for check, direction in (
@@ -654,6 +656,62 @@ class TestCompleteness:
             # the pass, then the witness
             assert [k for u, k in calls if u == 12] == [12, w.failed_k]
             assert calls[:2] == [(12, 12), (12, w.failed_k)]
+
+    def test_strong_is_forward_or_backward(self):
+        # strongly_complete skips the backward pass when quasi_palindrome
+        # finds the bijection. On the proof table's lists with n <= 21 and
+        # on damaged ones (a mirrored pair of positions deleted, which
+        # keeps the bijection; one position deleted; two neighbours
+        # swapped) it equals both passes.
+        lists = [
+            (generate(s, n).sequences, n)
+            for n in range(9, 22)
+            for s in [1] + valid_levels(n)
+        ]
+        rng = random.Random(41)
+        damaged = []
+        for sequences, n in lists:
+            if n > 13:
+                continue
+            for kind in ("mirror", "delete", "swap") * 6:
+                word = [a for seq in sequences for a in seq]
+                cut = [i for i, seq in enumerate(sequences) for _ in seq]
+                p = rng.randrange(len(word))
+                if kind == "swap":
+                    q = min(p + 1, len(word) - 1)
+                    word[p], word[q] = word[q], word[p]
+                    drop = set()
+                else:
+                    drop = {p, len(word) - 1 - p} if kind == "mirror" else {p}
+                seqs = [[] for _ in sequences]
+                for i, (a, c) in enumerate(zip(word, cut)):
+                    if i not in drop:
+                        seqs[c].append(a)
+                damaged.append((seqs, n))
+        outcomes = collections.Counter()
+        for sequences, n in lists + damaged:
+            expected = (
+                forward_complete(sequences, n)
+                or backward_complete(sequences, n)
+            )
+            assert strongly_complete(sequences, n) == expected
+            outcomes[quasi_palindrome(sequences).found, expected is None] += 1
+        assert len(lists) == 22 and outcomes[True, True] >= 22
+        assert outcomes[True, False] and outcomes[False, False], outcomes
+
+    def test_bijection_skips_the_backward_pass(self, monkeypatch):
+        calls = []
+        backward = verify.backward_complete
+        monkeypatch.setattr(
+            verify, "backward_complete",
+            lambda *args: calls.append(args) or backward(*args),
+        )
+        assert strongly_complete(generate(3, 13).sequences, 13) is None
+        assert calls == []
+        # without a bijection the backward pass runs, and may fail alone
+        bad = [(1, 2, 3), (1, 2), (1, 3)]
+        assert strongly_complete(bad, 3).direction == "backward"
+        assert calls == [(bad, 3)]
 
     @pytest.mark.slow
     def test_t4_24_strongly_complete(self):
@@ -1096,20 +1154,33 @@ class TestExhaustive:
 class TestSampled:
     @pytest.fixture
     def drawn(self, monkeypatch):
-        """The row count of every sampled draw, in the order drawn."""
-        default_rng = np.random.default_rng
+        """The row count of every sampled batch, in the order drawn: the
+        worker draws each batch, in chunks, as one task of the pool."""
+        pool = concurrent.futures.ThreadPoolExecutor
         drawn = []
 
-        class Counting:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
+        class Counting(pool):
+            def submit(self, draw, *args):
+                def counted():
+                    batch = draw(*args)
+                    drawn.append(len(batch))
+                    return batch
 
-            def permuted(self, batch, *args, **kwargs):
-                drawn.append(len(batch))
-                return self.rng.permuted(batch, *args, **kwargs)
+                return super().submit(counted)
 
-        monkeypatch.setattr(np.random, "default_rng", Counting)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
         return drawn
+
+    @staticmethod
+    def traced_peak(*args):
+        """A sampled run's report and the bytes it allocates at its peak."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = verify_supersequence_sampled(*args)
+            return report, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
 
     def test_negative_seed_rejected_before_any_build(self, monkeypatch):
         monkeypatch.setattr(verify, "NextOccurrenceTable", None)
@@ -1429,16 +1500,83 @@ class TestSampled:
         assert matcher.first_failure(np.array(perms, dtype=np.int64)) == 0
 
     def test_long_permutation_failing_early_stops_at_first_chunk(self):
-        # the only row fails at its third letter, where matching stops;
-        # matching all 2**19 columns would take about 2.4 s
-        start = time.perf_counter()
-        report = verify_supersequence_sampled((1, 2), 1 << 19, 1, 0)
-        assert time.perf_counter() - start < 1.0
-        assert report.verdict == "fail"
+        # The only row is the witness. (1, 2) lacks most letters, so no
+        # table is built; on the identity word the row fails within its
+        # first few letters, where matching stops. Matching all 2**19
+        # columns would take about 2.4 s.
+        for word in ((1, 2), tuple(range(1, (1 << 19) + 1))):
+            start = time.perf_counter()
+            report = verify_supersequence_sampled(word, 1 << 19, 1, 0)
+            assert time.perf_counter() - start < 1.0
+            assert report.verdict == "fail"
+            assert report.stats["permutations_checked"] == 1
+            perm = report.witness.permutation
+            digest = hashlib.sha256(repr(perm).encode()).hexdigest()[:16]
+            assert digest == "ad5f2e94f6f64d93"
+
+    def test_word_missing_a_letter_builds_no_table(self, monkeypatch):
+        # Every permutation holds every letter, so a word that lacks one
+        # fails at the first row checked, the first of `extra` or else the
+        # first drawn, and no table is built. The segmented table of 60
+        # ones at m = 2**18, (61 + 2)(m + 1) int32 cells, peaked at
+        # 78.2 MiB under tracemalloc; now the witness itself, 2**18 ints
+        # in a tuple (9.0 MiB), is most of the peak (14.2 MiB measured).
+        # The witness was recorded from the implementation that built the
+        # table.
+        report, peak = self.traced_peak((1,) * 60, 1 << 18, 1, 0)
         assert report.stats["permutations_checked"] == 1
         perm = report.witness.permutation
         digest = hashlib.sha256(repr(perm).encode()).hexdigest()[:16]
-        assert digest == "ad5f2e94f6f64d93"
+        assert digest == "840fc81234799255"
+        assert peak < 16 << 20, peak
+        monkeypatch.setattr(verify, "_Matcher", None)
+        extra = [tuple(range(7, 0, -1)), tuple(range(1, 8))]
+        report = verify_supersequence_sampled((1, 2, 3), 7, 100, 5, extra)
+        assert report.witness.permutation == extra[0]
+        assert report.stats["permutations_checked"] == 1
+        report = verify_supersequence_sampled((1, 2, 3), 7, 100, 5)
+        first = np.random.default_rng(5).permuted(np.arange(1, 8)[None], axis=1)
+        assert report.witness.permutation == tuple(first[0].tolist())
+        assert report.stats["permutations_checked"] == 1
+
+    @pytest.mark.parametrize(
+        "m, digest", [(255, "524d697c25c3c5fb"), (256, "55da9d0330d3f41a")],
+        ids=["uint8", "uint16"],
+    )
+    def test_last_uint8_letter_replays_pinned_values(self, m, digest):
+        # Rows are stored as uint8 up to m = 255 and as uint16 from 256, so
+        # a wrong width would wrap the letter 256 to 0. The word is the
+        # reversal of row 700 of the seeded stream, repeated m - 1 times:
+        # it holds every other permutation, so the run of six 200-row
+        # batches fails exactly there, in the fourth. The values were
+        # recorded from the implementation that stored int64 rows.
+        perm = np.random.default_rng(3).permuted(
+            np.tile(np.arange(1, m + 1), (701, 1)), axis=1
+        )[700]
+        word = tuple(perm[::-1].tolist()) * (m - 1)
+        report = verify_supersequence_sampled(word, m, 1200, seed=3)
+        assert report.stats["permutations_checked"] == 701
+        assert report.witness.permutation == tuple(perm.tolist())
+        witness = repr(report.witness.permutation).encode()
+        assert hashlib.sha256(witness).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "m, digest",
+        [(65_535, "e17e3f6283b6d8f6"), (65_536, "3b64107059465276")],
+        ids=["uint16", "uint32"],
+    )
+    def test_last_uint16_letter_replays_pinned_values(self, m, digest):
+        # uint16 rows up to m = 65 535, uint32 from 65 536: on the identity
+        # word, the identity row of `extra` passes through every column,
+        # the letter m last, and the first drawn row fails. The values
+        # were recorded from the implementation that stored int64 rows.
+        word = tuple(range(1, m + 1))
+        report = verify_supersequence_sampled(word, m, 3, 0, [word])
+        assert report.stats["permutations_checked"] == 2
+        perm = report.witness.permutation
+        assert sorted(perm) == list(word)
+        witness = repr(perm).encode()
+        assert hashlib.sha256(witness).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize(
         "budget, rows",
@@ -1573,27 +1711,31 @@ class TestSampled:
 
         # An exception raised by a draw reaches the caller, also from the
         # second batch, which the failure in the first leaves unmatched
-        # (two batches of min(_ROWS, budget // 28) rows).
+        # (two batches of min(_ROWS, budget // 28) rows): the stream
+        # fails at the first row of the first or of the second batch.
         default_rng = np.random.default_rng
 
         class Broken:
             def __init__(self, seed, fail_at):
                 self.rng, self.fail_at = default_rng(seed), fail_at
-                self.draws = 0
+                self.rows = 0  # drawn before this chunk
 
-            def permuted(self, *args, **kwargs):
-                self.draws += 1
-                if self.draws == self.fail_at:
-                    raise RuntimeError(f"draw {self.draws} failed")
-                return self.rng.permuted(*args, **kwargs)
+            def permuted(self, chunk, *args, **kwargs):
+                if self.rows == self.fail_at:
+                    raise RuntimeError(f"draw at row {self.rows} failed")
+                self.rows += len(chunk)
+                return self.rng.permuted(chunk, *args, **kwargs)
 
-        assert 591 < min(verify._ROWS, verify._CELL_BUDGET // 28) < 100_000
-        for fail_at, w in ((1, word), (2, damaged)):
+        rows = min(verify._ROWS, verify._CELL_BUDGET // 28)
+        assert 591 < rows < 100_000
+        for fail_at, w in ((0, word), (rows, damaged)):
             monkeypatch.setattr(
                 np.random, "default_rng",
                 lambda seed: Broken(seed, fail_at),
             )
-            with pytest.raises(RuntimeError, match=f"draw {fail_at} failed"):
+            with pytest.raises(
+                RuntimeError, match=f"draw at row {fail_at} failed"
+            ):
                 verify_supersequence_sampled(w, 14, 100_000, 5, EXTRA_14)
             assert threading.active_count() == before
 
@@ -1638,28 +1780,36 @@ class TestSampled:
         assert threading.active_count() == before
         assert drawn == [1667]
 
-    def test_m299_tracemalloc_peak(self):
-        # two buffers of 1667 rows (3.8 MiB each) beside the segmented
-        # table; three batches of 3506 rows in 8.0 MiB buffers peaked at
-        # 18.4 MiB
-        word = build_supersequence(generate(3, 298)).word
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            report = verify_supersequence_sampled(word, 299, 10_000, 1)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+
+    def test_m99_tracemalloc_peak(self):
+        # the benchmark's m = 99 run: two uint8 buffers of 4096 rows
+        # (0.4 MiB each) and the worker's int64 scratch of 512 rows beside
+        # the dense table, 9571 + 2 rows of 100 int32 cells (3.7 MiB),
+        # measured at 4.9 MiB; two int64 buffers peaked at 9.9 MiB
+        word = build_supersequence(generate(3, 98)).word
+        report, peak = self.traced_peak(word, 99, 100_000, 1)
         assert report.passed
-        assert peak < 14 << 20, peak
+        assert peak < 6 << 20, peak
+
+    def test_m299_tracemalloc_peak(self):
+        # two uint16 buffers of 1667 rows (1.0 MiB each) and the worker's
+        # int64 scratch of 416 rows beside the segmented table, measured
+        # at 3.9 MiB; two int64 buffers peaked at 8.7 MiB, and three
+        # batches of 3506 rows in 8.0 MiB buffers at 18.4 MiB
+        word = build_supersequence(generate(3, 298)).word
+        report, peak = self.traced_peak(word, 299, 10_000, 1)
+        assert report.passed
+        assert peak < 5 << 20, peak
 
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
     def test_m25_cli_peak_rss(self, child_report):
-        # the benchmark's proof-route run: two 0.8 MiB batch buffers of
-        # _ROWS rows, the 573-letter word's dense table and the adversarial
-        # family
+        # the benchmark's proof-route run: two 0.1 MiB uint8 batch buffers
+        # of _ROWS rows, the worker's 0.1 MiB int64 scratch, the 573-letter
+        # word's dense table and the adversarial family; measured at
+        # 36.6 MiB (37.5 MiB with int64 buffers), bound with 3.4 MiB to
+        # spare for other interpreter and numpy builds
         out = child_report(
             "import contextlib, io\n"
             "from skipseq import cli\n"
@@ -1669,7 +1819,7 @@ class TestSampled:
             "print('code', code)\n"
         )
         assert out["code"] == "0"
-        assert int(out["hwm"]) < 48 * 1024
+        assert int(out["hwm"]) < 40 * 1024
 
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
