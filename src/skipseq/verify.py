@@ -58,9 +58,17 @@ EXHAUSTIVE_LIMIT = 25
 # (rows at the letters' width: uint8 up to m = 255, uint16 up to 65 535,
 # else uint32) or the dense next-occurrence table (int32, 8 MiB) may
 # hold; the segmented table, about m**2 cells for the paper's words, is
-# outside it, and so is the worker's int64 scratch, at most one buffer's
-# bytes.
+# outside it, and so is the worker's int64 scratch of `_DRAW_CELLS`.
 _CELL_BUDGET = 1 << 21
+
+# Cells of the int64 scratch that the sampled check's worker shuffles a
+# batch through (0.5 MiB, one row if that is more, at most one batch):
+# each chunk of a batch costs the worker a fill, a shuffle and a cast, at
+# each of which it trades the GIL with the caller that matches, so chunks
+# of an eighth of a batch made the m = 25 run, whose draws are its
+# critical path, about 7% slower on two cores; this size draws an m = 25
+# batch in two chunks, as fast as whole (x86-64, numpy 2.4).
+_DRAW_CELLS = _CELL_BUDGET // 32
 
 # Rows in a sampled batch, within the budget (which is smaller from
 # m = 257 on): the draw costs the same per letter at any batch size, so
@@ -448,10 +456,10 @@ def verify_supersequence_sampled(
     rows are stored at the letters' width (np.min_scalar_type(m): uint8
     up to m = 255, uint16 up to 65 535), and the dense table is built only
     when its (L+2)·(m+1) cells fit the budget. Generator.permuted is fast
-    on 8-byte items alone, so a batch is shuffled in chunks of
-    max(1, rows·itemsize // 8) rows in an int64 scratch of the worker's
-    and cast into its buffer; permuted draws row by row, so the chunks
-    change no row. A longer word is matched on the segmented table:
+    on 8-byte items alone, so a batch is shuffled in chunks of at most
+    `_DRAW_CELLS` // m rows (at least one) in an int64 scratch of the
+    worker's and cast into its buffer; permuted draws row by row, so the
+    chunks change no row. A longer word is matched on the segmented table:
     (B+2)·(m+1) cells for B runs of distinct letters, outside the budget,
     about m**2 for the paper's words and up to L·m for a word such as
     1, 2, …, m, 1, 1, 1, …. A word that lacks a letter of 1..m builds no
@@ -493,9 +501,9 @@ def verify_supersequence_sampled(
     rng = np.random.default_rng(seed)
     base = np.arange(1, m + 1, dtype=np.int64)
     buffers = [np.empty((rows, m), dtype=letter)]
-    # the worker's int64 scratch holds no more bytes than one buffer
-    # (than one int64 row, if that is more)
-    step = max(1, rows * letter.itemsize // 8)
+    # the worker's int64 scratch: _DRAW_CELLS, one row if that is more,
+    # at most one batch
+    step = max(1, min(rows, _DRAW_CELLS // m))
     scratch = np.empty((step, m), dtype=np.int64)
 
     def draw(lo):

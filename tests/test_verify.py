@@ -1783,9 +1783,10 @@ class TestSampled:
 
     def test_m99_tracemalloc_peak(self):
         # the benchmark's m = 99 run: two uint8 buffers of 4096 rows
-        # (0.4 MiB each) and the worker's int64 scratch of 512 rows beside
-        # the dense table, 9571 + 2 rows of 100 int32 cells (3.7 MiB),
-        # measured at 4.9 MiB; two int64 buffers peaked at 9.9 MiB
+        # (0.4 MiB each) and the worker's int64 scratch of 662 rows
+        # (0.5 MiB) beside the dense table, 9571 + 2 rows of 100 int32
+        # cells (3.7 MiB), measured at 5.0 MiB after a warm-up call and
+        # 5.7 MiB alone; two int64 buffers peaked at 9.9 MiB
         word = build_supersequence(generate(3, 98)).word
         report, peak = self.traced_peak(word, 99, 100_000, 1)
         assert report.passed
@@ -1793,8 +1794,8 @@ class TestSampled:
 
     def test_m299_tracemalloc_peak(self):
         # two uint16 buffers of 1667 rows (1.0 MiB each) and the worker's
-        # int64 scratch of 416 rows beside the segmented table, measured
-        # at 3.9 MiB; two int64 buffers peaked at 8.7 MiB, and three
+        # int64 scratch of 219 rows beside the segmented table, measured
+        # at 3.5 MiB; two int64 buffers peaked at 8.7 MiB, and three
         # batches of 3506 rows in 8.0 MiB buffers at 18.4 MiB
         word = build_supersequence(generate(3, 298)).word
         report, peak = self.traced_peak(word, 299, 10_000, 1)
@@ -1806,9 +1807,9 @@ class TestSampled:
     )
     def test_m25_cli_peak_rss(self, child_report):
         # the benchmark's proof-route run: two 0.1 MiB uint8 batch buffers
-        # of _ROWS rows, the worker's 0.1 MiB int64 scratch, the 573-letter
+        # of _ROWS rows, the worker's 0.5 MiB int64 scratch, the 573-letter
         # word's dense table and the adversarial family; measured at
-        # 36.6 MiB (37.5 MiB with int64 buffers), bound with 3.4 MiB to
+        # 36.6 MiB (37.6 MiB with int64 buffers), bound with 3.4 MiB to
         # spare for other interpreter and numpy builds
         out = child_report(
             "import contextlib, io\n"
