@@ -1173,7 +1173,10 @@ class TestSampled:
 
     @staticmethod
     def traced_peak(*args):
-        """A sampled run's report and the bytes it allocates at its peak."""
+        """A sampled run's report and the bytes it allocates at its peak.
+        A small run first loads the sampled check's imports (its thread
+        pool, numpy's random module), so the window holds the call only."""
+        verify_supersequence_sampled((1, 2, 1), 2, 1, 0)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -2170,8 +2173,72 @@ class TestTraceMSets:
         assert trace_m_sets(glist, np.array(rho, dtype=np.uint8), 12) == expected
 
 
+def _unpruned_oracle(m):
+    """The oracle's breadth-first search stepping every state by all m
+    letters, not only the canonical ones: the reference for its pruning."""
+    without, _, tree = verify._universe(m, 0)
+    full = (1 << m) - 1
+    start = tuple(tree)
+    parent = {start: ()}
+    frontier = [start]
+    for length in itertools.count(1):
+        level = []
+        for state in frontier:
+            for a in range(1, m + 1):
+                tree = list(state)
+                done = verify._read(tree, without, (a - 1,)) >> full & 1
+                nxt = tuple(tree)
+                if nxt in parent:
+                    continue
+                parent[nxt] = (state, a)
+                if done:
+                    word = []
+                    while nxt != start:
+                        nxt, letter = parent[nxt]
+                        word.append(letter)
+                    return length, tuple(reversed(word))
+                level.append(nxt)
+        frontier = level
+
+
 class TestOracle:
     # The lexicographically least shortest supersequences.
+    @pytest.mark.parametrize(
+        "m", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+    )
+    def test_agrees_with_unpruned_search(self, m):
+        assert shortest_supersequence_oracle(m) == _unpruned_oracle(m)
+
+    @pytest.mark.parametrize("m, reads", [(3, 34), (4, 1360)])
+    def test_steps_canonical_words_only(self, monkeypatch, m, reads):
+        # the unpruned search steps 121 and 8039 (state, letter) pairs
+        calls = 0
+        read = verify._read
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return read(*args)
+
+        monkeypatch.setattr(verify, "_read", counting)
+        shortest_supersequence_oracle(m)
+        assert calls == reads
+
+    def test_state_fixes_letters_read(self):
+        # the pruning's premise: leaf m + c differs from without[c] exactly
+        # when letter c + 1 has been read, along random canonical words
+        rng = random.Random(7)
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            without, _, tree = verify._universe(m, 0)
+            used = 0
+            for _ in range(rng.randint(0, 3 * m * m)):
+                a = rng.randint(1, min(m, used + 1))
+                used = max(used, a)
+                verify._read(tree, without, (a - 1,))
+                changed = sum(tree[m + c] != without[c] for c in range(m))
+                assert changed == used
+
     def test_m_2(self):
         found = shortest_supersequence_oracle(2)
         assert found == (3, (1, 2, 1))
@@ -2219,7 +2286,6 @@ class TestOracle:
         with pytest.raises(ValueError, match=message):
             shortest_supersequence_oracle(m)
 
-    @pytest.mark.slow
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
@@ -2241,7 +2307,8 @@ class TestOracle:
         )
         assert naive_supersequence_check(word, 5)
         assert float(out["elapsed"]) < 60.0
-        assert int(out["hwm"]) < 1024 * 1024
+        # canonical words only, measured at about 1 s and 65 MiB
+        assert int(out["hwm"]) < 160 * 1024
 
     def test_prefix_state_agrees_with_naive(self):
         # Drive the pass through every prefix of seeded random words:
