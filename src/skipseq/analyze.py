@@ -41,6 +41,9 @@ __all__ = [
 
 CSV_FIELDS = ["m", "classical", "zalinescu", "radomirovic", "best_s", "best_len", "actual"]
 
+# the largest m of a comparison table and s of --s-range (levels end at 2499)
+_MAX_M = 10_000
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -129,8 +132,8 @@ def comparison_table(
     """One row per m; best_s/best_len absent when no level is valid."""
     checked = []  # every m is checked before any row is computed
     for m in map(operator.index, ms):
-        if not 5 <= m <= 10_000:
-            raise ValidationError(f"m={m} outside supported range 5..10000")
+        if not 5 <= m <= _MAX_M:
+            raise ValidationError(f"m={m} outside supported range 5..{_MAX_M}")
         checked.append(m)
     rows = []
     for m in checked:

@@ -148,9 +148,9 @@ def _parse_range(text: str) -> range:
 def _cmd_analyze(args) -> int:
     if args.coefficients:
         s_values = _parse_range(args.s_range) if args.s_range else range(2, 11)
-        if s_values[-1] > 10_000:  # --m-range's bound; levels stop at s = 2499
+        if s_values[-1] > analyze._MAX_M:
             raise ValidationError(
-                f"s={s_values[-1]} outside supported range 2..10000"
+                f"s={s_values[-1]} outside supported range 2..{analyze._MAX_M}"
             )
         lines = [f"{s}: {analyze.coefficient(s)}" for s in s_values]
         _emit("\n".join(lines) + "\n", args.output)

@@ -12,7 +12,8 @@ of the run against the dense or, for long words, the segmented
 next-occurrence table (a cell budget bounds the batches and the dense
 table, not the segmented one), and draw each batch on a worker thread
 while the one before it is matched, the first while the table is built,
-through an int64 scratch into rows stored at the letters' width; and
+through an int64 scratch into rows stored at the letters' width, but
+build no table for a word that fails the first row checked; and
 the quasi-palindrome bijection is reconstructed position by position
 from the concatenation.  Only the sampled checks use numpy, and they
 import it on their first call, so that the other checks never load it.
@@ -24,11 +25,10 @@ import functools
 import itertools
 import operator
 import time
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence as Seq
 
-from .core import NextOccurrenceTable, checked_word
+from .core import NextOccurrenceTable, checked_word, is_subsequence
 from .construct import GeneratedList, TAG_SKIP, skip_letters
 
 __all__ = [
@@ -463,17 +463,19 @@ def verify_supersequence_sampled(
     chunks change no row. A longer word is matched on the segmented table:
     (B+2)·(m+1) cells for B runs of distinct letters, outside the budget,
     about m**2 for the paper's words and up to L·m for a word such as
-    1, 2, …, m, 1, 1, 1, …. A word that lacks a letter of 1..m builds no
-    table: every permutation holds every letter, so the first row checked
-    (the first of `extra`, else the first drawn) is the witness. A batch
-    also holds at most ceil(count / `_BATCHES`) rows, so the first draw
-    and the last match, which no match or draw overlaps, are at most a
-    sixth of the run. One worker thread draws every batch, in order,
-    while the caller matches the one before it: the first is queued once
-    the word is checked and drawn while the matcher builds its table (the
-    second buffer is allocated after that build) and `extra` is matched.
-    Each draw is queued before the caller waits for the one before it,
-    and the worker is joined before the call returns or raises.
+    1, 2, …, m, 1, 1, 1, …. No table is built until the rows the caller
+    names, every `extra` row in order or else the first drawn, pass
+    `is_subsequence`; the first that fails is the witness. So a word that
+    lacks a letter, or that one, whose first row fails within a few
+    letters, builds none, but a word whose first row passes builds its
+    whole table. A batch also holds at most ceil(count / `_BATCHES`)
+    rows, so the first draw and the last match, which no match or draw
+    overlaps, are at most a sixth of the run. One worker thread draws
+    every batch, in order, while the caller matches the one before it:
+    the first is queued once the word is checked and drawn while `extra`
+    is checked and the table built (with no `extra`, the check waits for
+    it). Each draw is queued before the caller waits for the one before
+    it, and the worker is joined before the call returns or raises.
     """
     m = _check_sampled_alphabet(m)
     count, seed = operator.index(count), operator.index(seed)
@@ -481,7 +483,6 @@ def verify_supersequence_sampled(
         raise ValueError("count must be >= 1")
     if seed < 0:
         raise ValueError(f"seed={seed} must be non-negative")
-    # np.array would truncate a letter that is not an integer
     extra = [_checked_row(perm, m) for perm in extra]
     if any(perm is None or len(perm) != m for perm in extra):
         raise ValueError(f"every extra row must be a permutation of 1..{m}")
@@ -490,7 +491,6 @@ def verify_supersequence_sampled(
     import numpy as np
 
     letter = np.min_scalar_type(m)  # the rows' dtype, not the draws'
-    family = np.array(extra, dtype=letter).reshape(len(extra), m)
     # imported here: logging, which it loads, would add about 5 ms to
     # every import of skipseq
     from concurrent.futures import ThreadPoolExecutor
@@ -519,43 +519,40 @@ def verify_supersequence_sampled(
             batch[at : at + step] = chunk
         return batch
 
-    def batches(pool, pending):
-        # each draw is queued before the wait, so the worker never idles
-        try:
-            for lo in range(0, len(extra), cap):
-                yield family[lo : lo + cap]
+    checked = 0
+    with ThreadPoolExecutor(1) as pool:
+        # the first draw runs while `extra` is checked and the table built;
+        # leaving the pool joins the worker, also when the build raises
+        pending = [pool.submit(draw, 0)]
+        # the rows the caller names, `extra` or else the first drawn
+        # (counted with its batch), need no table; a numpy letter would
+        # compare slowly with the word's ints
+        batch = extra or pending[0].result()[:1]
+        bad = next(
+            (i for i, row in enumerate(batch)
+             if not is_subsequence(map(int, row), table.word)),
+            -1,
+        )
+        if bad < 0:
+            checked = len(extra)
+            matcher = _Matcher(table)
+            # after the build, whose temporaries would raise the peak
+            buffers.append(np.empty_like(buffers[0]))
+            # each draw is queued before the wait, so the worker never idles
             for lo in range(rows, count + rows, rows):
                 if lo < count:
                     pending.append(pool.submit(draw, lo))
-                yield pending.pop(0).result()
-        finally:
-            for draw_left in pending:  # a draw left by a failure still raises
-                draw_left.result()
-
-    checked, witness = 0, None
-    with ThreadPoolExecutor(1) as pool:
-        # the first draw runs while the matcher builds its table, and the
-        # second buffer waits for that build, whose temporaries would
-        # raise the peak; leaving the pool joins the worker, also when
-        # the build raises
-        pending = [pool.submit(draw, 0)]
-        if len(set(table.word)) < m:
-            # every permutation holds every letter, so the first row fails
-            # and no table is built
-            drawn = pending.pop().result()  # a failed draw still raises
-            first = (family if len(extra) else drawn)[0]
-            checked, witness = 1, Witness(tuple(int(x) for x in first))
-        else:
-            matcher = _Matcher(table)
-            buffers.append(np.empty_like(buffers[0]))
-            with closing(batches(pool, pending)) as stream:
-                for batch in stream:
-                    bad = matcher.first_failure(batch)
-                    if bad >= 0:
-                        checked += bad + 1
-                        witness = Witness(tuple(int(x) for x in batch[bad]))
-                        break
-                    checked += len(batch)
+                batch = pending.pop(0).result()
+                bad = matcher.first_failure(batch)
+                if bad >= 0:
+                    break
+                checked += len(batch)
+        for draw_left in pending:  # a draw left by a failure still raises
+            draw_left.result()
+    witness = None
+    if bad >= 0:
+        checked += bad + 1
+        witness = Witness(tuple(int(x) for x in batch[bad]))
     stats = {
         "permutations_checked": checked,
         "elapsed_s": time.perf_counter() - start,

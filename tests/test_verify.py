@@ -1542,6 +1542,91 @@ class TestSampled:
         assert report.witness.permutation == tuple(first[0].tolist())
         assert report.stats["permutations_checked"] == 1
 
+    def test_first_row_failing_builds_no_table(self, monkeypatch):
+        # 1..m followed by sixty 1s holds every letter, in 61 runs, and its
+        # first drawn row fails within a few letters. Building the
+        # segmented table first, (61 + 2)(m + 1) int32 cells at m = 2**18,
+        # peaked at 81 MiB under tracemalloc; checking that row first
+        # peaks at 14.2 MiB, most of it the witness, 2**18 ints in a tuple.
+        # The witness was recorded from the implementation that built the
+        # table.
+        word = tuple(range(1, (1 << 18) + 1)) + (1,) * 60
+        report, peak = self.traced_peak(word, 1 << 18, 1, 0)
+        assert peak < 16 << 20, peak
+
+        def no_table(table):
+            raise AssertionError(f"a table of {len(table.word)} letters")
+
+        monkeypatch.setattr(NextOccurrenceTable, "as_array", no_table)
+        monkeypatch.setattr(NextOccurrenceTable, "as_blocks", no_table)
+        again = verify_supersequence_sampled(word, 1 << 18, 1, 0)
+        for r in (report, again):
+            assert r.stats["permutations_checked"] == 1
+            perm = r.witness.permutation
+            digest = hashlib.sha256(repr(perm).encode()).hexdigest()[:16]
+            assert digest == "840fc81234799255"
+
+    def test_extra_is_decided_before_any_table(self, monkeypatch):
+        # the pin of test_seeded_failure_replays_pinned_values: EXTRA_14's
+        # second row, the reversal of 1..13 then 14, is the witness
+        monkeypatch.setattr(verify, "_Matcher", None)
+        word = build_supersequence(gen_ts(3, 13)).word
+        report = verify_supersequence_sampled(
+            word[:65] + word[66:], 14, 300_000, 2, EXTRA_14
+        )
+        assert report.witness.permutation == tuple(range(13, 0, -1)) + (14,)
+        assert report.stats["permutations_checked"] == 2
+
+    def test_whole_call_matches_naive_replay(self):
+        # Seeded random words over at most 6 letters: some lack a letter,
+        # some end in a long run of one letter, and some are m random
+        # permutations, which hold every permutation, less one letter.
+        # With 0-4 random `extra` rows, the witness and
+        # `permutations_checked` are those of the first row that
+        # is_subsequence rejects in `extra` and then in the rows of one
+        # `permuted` call on all `count` rows.
+        rng = random.Random(36)
+        outcomes = collections.Counter()
+        for case in range(400):
+            m = rng.randint(1, 6)
+            letters = range(1, m + 1)
+            if case % 4 == 3:
+                word = [a for _ in letters for a in rng.sample(letters, m)]
+                del word[rng.randrange(m * m)]
+            else:
+                size = rng.randint(0, 3 * m * m)
+                word = [rng.randint(1, m) for _ in range(size)]
+            if case % 4 == 1:
+                gone = rng.randint(1, m)
+                word = [a for a in word if a != gone]
+            elif case % 4 == 2:
+                word += [rng.randint(1, m)] * rng.randint(10, 60)
+            extra = [
+                tuple(rng.sample(letters, m)) for _ in range(rng.randint(0, 4))
+            ]
+            count, seed = rng.randint(1, 60), rng.randrange(1 << 32)
+            report = verify_supersequence_sampled(word, m, count, seed, extra)
+            drawn = np.random.default_rng(seed).permuted(
+                np.tile(np.arange(1, m + 1), (count, 1)), axis=1
+            )
+            stream = extra + [tuple(row) for row in drawn.tolist()]
+            first = next(
+                (i for i, row in enumerate(stream)
+                 if not is_subsequence(row, word)),
+                None,
+            )
+            witness = report.witness and report.witness.permutation
+            checked = report.stats["permutations_checked"]
+            if first is None:
+                assert (witness, checked) == (None, len(stream))
+                outcomes["pass"] += 1
+            else:
+                assert (witness, checked) == (stream[first], first + 1)
+                where = (first >= len(extra)) + (first > len(extra))
+                outcomes[("extra", "first drawn", "later drawn")[where]] += 1
+        # 170, 168, 32 and 30 cases
+        assert min(outcomes.values()) >= 25, outcomes
+
     @pytest.mark.parametrize(
         "m, digest", [(255, "524d697c25c3c5fb"), (256, "55da9d0330d3f41a")],
         ids=["uint8", "uint16"],
