@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import operator
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -39,8 +39,6 @@ __all__ = [
     "rows_to_json",
 ]
 
-CSV_FIELDS = ["m", "classical", "zalinescu", "radomirovic", "best_s", "best_len", "actual"]
-
 # the largest m of a comparison table and s of --s-range (levels end at 2499)
 _MAX_M = 10_000
 
@@ -54,6 +52,9 @@ class ComparisonRow:
     best_s: Optional[int] = None
     best_len: Optional[int] = None
     actual: Optional[int] = None
+
+
+CSV_FIELDS = [f.name for f in fields(ComparisonRow)]
 
 
 def classical_length(m: int) -> int:

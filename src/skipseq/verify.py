@@ -12,8 +12,9 @@ of the run against the dense or, for long words, the segmented
 next-occurrence table (a cell budget bounds the batches and the dense
 table, not the segmented one), and draw each batch on a worker thread
 while the one before it is matched, the first while the table is built,
-through an int64 scratch into rows stored at the letters' width, but
-build no table for a word that fails the first row checked; and
+through an int64 scratch into an array of its own with rows at the
+letters' width, at most two batches alive at once, but build no table
+for a word that fails the first row checked; and
 the quasi-palindrome bijection is reconstructed position by position
 from the concatenation.  Only the sampled checks use numpy, and they
 import it on their first call, so that the other checks never load it.
@@ -55,7 +56,7 @@ __all__ = [
 # further letter, so m = 26 would pass 1 GiB.
 EXHAUSTIVE_LIMIT = 25
 
-# Cells that the two batch buffers of sampled permutations together
+# Cells that the two live batches of sampled permutations together
 # (rows at the letters' width: uint8 up to m = 255, uint16 up to 65 535,
 # else uint32) or the dense next-occurrence table (int32, 8 MiB) may
 # hold; the segmented table, about m**2 cells for the paper's words, is
@@ -450,16 +451,16 @@ def verify_supersequence_sampled(
     permutations are drawn row by row from one stream, so the batch size
     changes neither them nor the witness nor ``permutations_checked``.
 
-    `_CELL_BUDGET`, 2**21 cells, which m may not exceed, bounds the batch
-    buffers and the dense table: permutations are matched in batches of at
-    most `_ROWS` (4096) and budget // (2m) rows (one row above m = 2**20,
-    at most 2m cells in all), drawn alternately into two buffers whose
-    rows are stored at the letters' width (np.min_scalar_type(m): uint8
-    up to m = 255, uint16 up to 65 535), and the dense table is built only
-    when its (L+2)·(m+1) cells fit the budget. Generator.permuted is fast
-    on 8-byte items alone, so a batch is shuffled in chunks of at most
+    `_CELL_BUDGET`, 2**21 cells, which m may not exceed, bounds the two
+    live batches and the dense table: permutations are matched in batches
+    of at most `_ROWS` (4096) and budget // (2m) rows (one row above
+    m = 2**20, at most 2m cells in all), each drawn into an array of its
+    own whose rows are stored at the letters' width (np.min_scalar_type(m):
+    uint8 up to m = 255, uint16 up to 65 535), and the dense table is built
+    only when its (L+2)·(m+1) cells fit the budget. Generator.permuted is
+    fast on 8-byte items alone, so a batch is shuffled in chunks of at most
     `_DRAW_CELLS` // m rows (at least one) in an int64 scratch of the
-    worker's and cast into its buffer; permuted draws row by row, so the
+    worker's and cast into the batch; permuted draws row by row, so the
     chunks change no row. A longer word is matched on the segmented table:
     (B+2)·(m+1) cells for B runs of distinct letters, outside the budget,
     about m**2 for the paper's words and up to L·m for a word such as
@@ -475,7 +476,9 @@ def verify_supersequence_sampled(
     the first is queued once the word is checked and drawn while `extra`
     is checked and the table built (with no `extra`, the check waits for
     it). Each draw is queued before the caller waits for the one before
-    it, and the worker is joined before the call returns or raises.
+    it and after it drops the batch it matched, so at most two batches
+    are alive and the worker writes none that the caller holds; the
+    worker is joined before the call returns or raises.
     """
     m = _check_sampled_alphabet(m)
     count, seed = operator.index(count), operator.index(seed)
@@ -501,17 +504,14 @@ def verify_supersequence_sampled(
     rows = min(cap, -(-count // _BATCHES))
     rng = np.random.default_rng(seed)
     base = np.arange(1, m + 1, dtype=np.int64)
-    buffers = [np.empty((rows, m), dtype=letter)]
     # the worker's int64 scratch: _DRAW_CELLS, one row if that is more,
     # at most one batch
     step = max(1, min(rows, _DRAW_CELLS // m))
     scratch = np.empty((step, m), dtype=np.int64)
 
-    def draw(lo):
-        # the batch from stream index lo, into the buffer of the batch two
-        # before it, which the caller has matched, a chunk of rows at a
+    def draw(batch):
+        # the next rows of the stream into batch, a chunk of rows at a
         # time; permuted draws row by row, so chunks change no row
-        batch = buffers[lo // rows % 2][: min(rows, count - lo)]
         for at in range(0, len(batch), step):
             chunk = scratch[: len(batch) - at]
             chunk[:] = base
@@ -522,8 +522,10 @@ def verify_supersequence_sampled(
     checked = 0
     with ThreadPoolExecutor(1) as pool:
         # the first draw runs while `extra` is checked and the table built;
-        # leaving the pool joins the worker, also when the build raises
-        pending = [pool.submit(draw, 0)]
+        # leaving the pool joins the worker, also when the build raises.
+        # The caller allocates every batch: ones allocated on the worker come
+        # from its own malloc arena, which raised peak RSS by 2 to 4 MiB
+        pending = [pool.submit(draw, np.empty((rows, m), letter))]
         # the rows the caller names, `extra` or else the first drawn
         # (counted with its batch), need no table; a numpy letter would
         # compare slowly with the word's ints
@@ -536,12 +538,11 @@ def verify_supersequence_sampled(
         if bad < 0:
             checked = len(extra)
             matcher = _Matcher(table)
-            # after the build, whose temporaries would raise the peak
-            buffers.append(np.empty_like(buffers[0]))
-            # each draw is queued before the wait, so the worker never idles
             for lo in range(rows, count + rows, rows):
+                batch = None  # a matched batch is freed before the next draw
                 if lo < count:
-                    pending.append(pool.submit(draw, lo))
+                    shape = (min(rows, count - lo), m)
+                    pending.append(pool.submit(draw, np.empty(shape, letter)))
                 batch = pending.pop(0).result()
                 bad = matcher.first_failure(batch)
                 if bad >= 0:

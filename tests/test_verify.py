@@ -1361,8 +1361,8 @@ class TestSampled:
         # when there are at least _BATCHES of them, and always with
         # _BATCHES = 1: the "cap" permutations are the last of the first
         # batch and the first of the second, the "2cap" ones the last of
-        # the second and the first of the third, which reuses the first
-        # buffer; count runs over one less than, equal to and one more
+        # the second and the first of the third, queued once the first
+        # is matched; count runs over one less than, equal to and one more
         # than the boundary between the two. The "rows" and "half"
         # permutations pin the stream where earlier 41 943-row batches
         # met, now inside a batch. The "rows" values were recorded from
@@ -1673,7 +1673,7 @@ class TestSampled:
         ids=["1-row", "2-rows", "7-rows", "100-rows", "default", "one-batch"],
     )
     def test_batch_size_changes_nothing(self, budget, rows, monkeypatch):
-        # A draw into the buffer still being matched, or out of stream
+        # A draw into a batch still being matched, or out of stream
         # order, would change some triple at some batch size. The damaged
         # words fail in EXTRA_14 (at its second row) and at random
         # permutation 591; the budgets give m = 14 batches of 1, 2 and 7
@@ -1702,6 +1702,24 @@ class TestSampled:
         if rows == 1 << 20:
             monkeypatch.setattr(verify, "_BATCHES", 1)
         assert list(triples()) == expected
+
+    def test_no_two_batches_share_memory(self, monkeypatch):
+        # Each batch is drawn into an array of its own, so the worker
+        # writes no batch the caller has been handed: the six 500-row
+        # batches of an m = 14 run, all kept alive here, share no memory.
+        kept = []
+        first_failure = verify._Matcher.first_failure
+
+        def keeping(matcher, perms):
+            kept.append(perms)
+            return first_failure(matcher, perms)
+
+        monkeypatch.setattr(verify._Matcher, "first_failure", keeping)
+        word = build_supersequence(gen_ts(3, 13)).word
+        assert verify_supersequence_sampled(word, 14, 3000, 5).passed
+        assert [len(batch) for batch in kept] == [500] * 6
+        for a, b in itertools.combinations(kept, 2):
+            assert not np.shares_memory(a, b)
 
     def test_concurrent_calls_replay(self, monkeypatch):
         # eight callers, each with its own worker, switching threads every
@@ -1870,21 +1888,23 @@ class TestSampled:
 
 
     def test_m99_tracemalloc_peak(self):
-        # the benchmark's m = 99 run: two uint8 buffers of 4096 rows
-        # (0.4 MiB each) and the worker's int64 scratch of 662 rows
-        # (0.5 MiB) beside the dense table, 9571 + 2 rows of 100 int32
-        # cells (3.7 MiB), measured at 5.0 MiB after a warm-up call and
-        # 5.7 MiB alone; two int64 buffers peaked at 9.9 MiB
+        # the benchmark's m = 99 run: two live uint8 batches of 4096 rows
+        # (0.4 MiB each, each in an array of its own) and the worker's
+        # int64 scratch of 662 rows (0.5 MiB) beside the dense table,
+        # 9571 + 2 rows of 100 int32 cells (3.7 MiB), measured at 5.0 MiB
+        # after a warm-up call and 5.7 MiB alone; a third batch, alive
+        # when a matched one is kept past the next draw, took it to
+        # 5.3 MiB, and two int64 batches to 9.9 MiB
         word = build_supersequence(generate(3, 98)).word
         report, peak = self.traced_peak(word, 99, 100_000, 1)
         assert report.passed
         assert peak < 6 << 20, peak
 
     def test_m299_tracemalloc_peak(self):
-        # two uint16 buffers of 1667 rows (1.0 MiB each) and the worker's
-        # int64 scratch of 219 rows beside the segmented table, measured
-        # at 3.5 MiB; two int64 buffers peaked at 8.7 MiB, and three
-        # batches of 3506 rows in 8.0 MiB buffers at 18.4 MiB
+        # two live uint16 batches of 1667 rows (1.0 MiB each) and the
+        # worker's int64 scratch of 219 rows beside the segmented table,
+        # measured at 3.5 MiB; two int64 batches peaked at 8.7 MiB, and
+        # three batches of 3506 rows in 8.0 MiB arrays at 18.4 MiB
         word = build_supersequence(generate(3, 298)).word
         report, peak = self.traced_peak(word, 299, 10_000, 1)
         assert report.passed
@@ -1894,10 +1914,10 @@ class TestSampled:
         not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
     )
     def test_m25_cli_peak_rss(self, child_report):
-        # the benchmark's proof-route run: two 0.1 MiB uint8 batch buffers
+        # the benchmark's proof-route run: two live 0.1 MiB uint8 batches
         # of _ROWS rows, the worker's 0.5 MiB int64 scratch, the 573-letter
         # word's dense table and the adversarial family; measured at
-        # 36.6 MiB (37.6 MiB with int64 buffers), bound with 3.4 MiB to
+        # 36.6 MiB (37.6 MiB with int64 batches), bound with 3.4 MiB to
         # spare for other interpreter and numpy builds
         out = child_report(
             "import contextlib, io\n"
