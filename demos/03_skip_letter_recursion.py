@@ -15,7 +15,7 @@ k = 12  # a skip-sequence index: sigma_12 drops letters 17, 18 and 8
 rho = skip_chain_rho(glist, k, 17)  # worst case ending in skip letter 17
 print("Max-occupancy permutation suffix:", rho)
 
-trace = trace_m_sets(glist, rho, k)
+trace = trace_m_sets(glist, rho)  # k = len(rho)
 for idx, m_set in trace.steps:
     print(f"  M[{idx:>2}] = {sorted(m_set)}")
 print(f"Terminated at index {trace.terminated_at}; "

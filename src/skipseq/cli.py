@@ -188,7 +188,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_trace(args) -> int:
     glist = construct.generate(args.s, args.n)
     rho = _parse_word(args.rho)
-    trace = verify.trace_m_sets(glist, rho, args.k)
+    trace = verify.trace_m_sets(glist, rho)
     for idx, m_set in trace.steps:
         letters = ",".join(map(str, sorted(m_set))) or "-"
         print(f"M[{idx}] = {{{letters}}}")
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="replay the M-set recursion")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho", required=True)
     p.set_defaults(func=_cmd_trace)
     return parser

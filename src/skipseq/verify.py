@@ -95,10 +95,12 @@ class Witness:
 
 @dataclass(frozen=True, kw_only=True)
 class VerificationReport:
-    mode: str  # "exhaustive" | "sampled"
     witness: Optional[Witness] = None
     stats: dict = field(default_factory=dict)
     seed: Optional[int] = None
+    mode = property(  # a run is sampled exactly when it has a seed
+        lambda self: "exhaustive" if self.seed is None else "sampled"
+    )
     passed = property(lambda self: self.witness is None)
     verdict = property(lambda self: "pass" if self.passed else "fail")
 
@@ -344,7 +346,7 @@ def verify_supersequence_exhaustive(
     start = time.perf_counter()
     witness = is_k_complete(word, m, m)
     stats = {"elapsed_s": time.perf_counter() - start}
-    return VerificationReport(mode="exhaustive", witness=witness, stats=stats)
+    return VerificationReport(witness=witness, stats=stats)
 
 
 class _Matcher:
@@ -558,16 +560,12 @@ def verify_supersequence_sampled(
         "permutations_checked": checked,
         "elapsed_s": time.perf_counter() - start,
     }
-    return VerificationReport(
-        mode="sampled", witness=witness, stats=stats, seed=seed
-    )
+    return VerificationReport(witness=witness, stats=stats, seed=seed)
 
 
-def trace_m_sets(
-    glist: GeneratedList, rho: Seq[int], k: int
-) -> MSetTrace:
-    """Replay the backward M-set recursion for a sequence rho whose element
-    at position k is a skip letter.
+def trace_m_sets(glist: GeneratedList, rho: Seq[int]) -> MSetTrace:
+    """Replay the backward M-set recursion for a sequence rho whose last
+    element, at position k = len(rho), is a skip letter.
 
     M_{k-1} = sigma_{k-1}[> rho[k]]; thereafter
     M_{k-i} = sigma_{k-i}[> rho[k-i+1]] \\ {rho[k], ..., rho[k-i+2]}.
@@ -575,10 +573,8 @@ def trace_m_sets(
     empties, when rho leaves the M chain (two consecutive elements land in
     one sigma), or at sigma_1.
     """
-    if len(rho) or glist.tag(k) != TAG_SKIP:  # an empty rho: no end to check
-        _check_chain_end(glist, k, rho[-1] if len(rho) else None)
-    if len(rho) != k:
-        raise ValueError(f"rho has length {len(rho)}, expected k={k}")
+    k = len(rho)
+    _check_chain_end(glist, k, rho[-1:])
     rho = _checked_row(rho, glist.n)
     if rho is None:
         raise ValueError("rho must have distinct letters from 1..n")
@@ -609,7 +605,7 @@ def skip_chain_rho(
     sigma_{idx-1} and is not removed, so a's set strictly contains b's.
     Once the chain dies the front is padded with unused letters ascending.
     """
-    last = _check_chain_end(glist, k, last)
+    last = _check_chain_end(glist, k, (last,))
     chain = [last]  # rho[k], rho[k-1], ...
     used = {last}  # M_idx never holds prev, the letter it follows
     for idx in range(k - 1, 1, -1):
@@ -624,17 +620,15 @@ def skip_chain_rho(
     return tuple(pad[: k - len(chain)] + chain[::-1])
 
 
-def _check_chain_end(
-    glist: GeneratedList, k: int, last: Optional[int]
-) -> int:
-    """Reject k unless a skip index, and `last` unless a skip letter;
-    return `last` as checked_word reads it."""
+def _check_chain_end(glist: GeneratedList, k: int, end: Seq[int]) -> int:
+    """Reject k unless a skip index, and rho[k], the one letter of `end`,
+    unless a skip letter; return it as checked_word reads it."""
     if glist.tag(k) != TAG_SKIP:
         raise ValueError(f"k={k} is not a skip-sequence index")
-    end = _checked_row((last,), glist.n)
-    if end is None or end[0] not in skip_letters(glist.s, glist.n):
-        raise ValueError(f"rho[{k}]={last} is not a skip letter")
-    return end[0]
+    last = _checked_row(end, glist.n)
+    if last is None or last[0] not in skip_letters(glist.s, glist.n):
+        raise ValueError(f"rho[{k}]={end[0]} is not a skip letter")
+    return last[0]
 
 
 def _m_set(

@@ -172,7 +172,7 @@ def test_criterion_9_sampled_and_m_set_bound():
         assert report.passed
         for k in glist.skip_indices():
             for a in range(n - s + 2, n + 1):
-                trace = trace_m_sets(glist, skip_chain_rho(glist, k, a), k)
+                trace = trace_m_sets(glist, skip_chain_rho(glist, k, a))
                 assert trace.max_size <= s - 1
     assert time.perf_counter() - start < 120.0
     _ok("9 (sampled verification + M-set bound)")

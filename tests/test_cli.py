@@ -484,7 +484,7 @@ class TestOracleAndTrace:
 
     def test_trace(self, capsys):
         code, out, _ = run(
-            capsys, "trace", "--s", "3", "--n", "18", "--k", "12",
+            capsys, "trace", "--s", "3", "--n", "18",
             "--rho", "1,16,15,14,13,12,11,10,9,8,18,17",
         )
         assert code == 0
@@ -507,27 +507,27 @@ class TestOracleAndTrace:
 
     def test_trace_bad_rho_exit_2(self, capsys):
         code, _, _ = run(
-            capsys, "trace", "--s", "3", "--n", "18", "--k", "12",
+            capsys, "trace", "--s", "3", "--n", "18",
             "--rho", "1,2,3",
         )
         assert code == 2
 
     def test_trace_empty_rho_exit_2(self, capsys):
         code, out, err = run(
-            capsys, "trace", "--s", "3", "--n", "18", "--k", "12", "--rho", ",",
+            capsys, "trace", "--s", "3", "--n", "18", "--rho", ",",
         )
         assert code == 2
         assert out == ""
-        assert "rho has length 0, expected k=12" in err
+        assert "k=0 outside 1..18" in err
 
     def test_trace_k_out_of_range_exit_2(self, capsys):
         code, out, err = run(
-            capsys, "trace", "--s", "3", "--n", "18", "--k", "99",
-            "--rho", "1,2",
+            capsys, "trace", "--s", "3", "--n", "18",
+            "--rho", ",".join(map(str, range(1, 20))),
         )
         assert code == 2
         assert out == ""
-        assert "k=99 outside 1..18" in err
+        assert "k=19 outside 1..18" in err
 
 
 class TestColdStart:
@@ -544,7 +544,7 @@ class TestColdStart:
             ["verify", "--s", "3", "--n", "13", "--exhaustive"],
             ["analyze", "--m", "25"],
             ["oracle", "--m", "3"],
-            ["trace", "--s", "3", "--n", "18", "--k", "12",
+            ["trace", "--s", "3", "--n", "18",
              "--rho", "1,16,15,14,13,12,11,10,9,8,18,17"],
             ["verify", "--s", "3", "--n", "13", "--sampled", "--seed", "-1"],
         ]

@@ -235,6 +235,71 @@ def trace_corpus():
                 yield cut, chain, k
 
 
+def next_positions(word, m):
+    """nxt[a - 1][p], for each letter a of 1..m and p in 0..len(word) + 1:
+    the smallest 1-based position q > p holding a, or len(word) + 1."""
+    return [
+        [golden.next_after(word, p, a) for p in range(len(word) + 2)]
+        for a in range(1, m + 1)
+    ]
+
+
+def latest_ends(word, m):
+    """f over the letter sets of 1..m, letter a at bit a - 1: f(empty) = 0,
+    and f(S) is the largest, over a in S, next position of a after
+    f(S - a), or len(word) + 1 once past the end; the latest position at
+    which the greedy embedding of an ordering of S ends."""
+    nxt = next_positions(word, m)
+    f = [0] * (1 << m)
+    for S in range(1, 1 << m):
+        f[S] = max(nxt[a][f[S & ~(1 << a)]] for a in range(m) if S >> a & 1)
+    return f
+
+
+def cut_verdict(sequences, n):
+    """Whether x.sigma_1.x. ... .sigma_r.x, for a letter x outside 1..n,
+    holds every permutation of 1..n and x, decided from the list: with c
+    the concatenation of the sigmas, of length L, and P_0 = 0, ..., P_r = L
+    its cuts, it does iff every A of 1..n has a cut P with f(A) <= P and
+    f_rev(complement of A) <= L - P, where f_rev is f over c reversed (an
+    ordering alpha.x.beta embeds iff an x lies after alpha's embedding and
+    before beta's)."""
+    c = [a for sigma in sequences for a in sigma]
+    cuts = list(itertools.accumulate(map(len, sequences), initial=0))
+    f, f_rev = latest_ends(c, n), latest_ends(c[::-1], n)
+    full = (1 << n) - 1
+    return all(
+        any(f[A] <= p and f_rev[full ^ A] <= len(c) - p for p in cuts)
+        for A in range(1 << n)
+    )
+
+
+def interposed_word(sequences, n):
+    """x.sigma_1.x. ... .sigma_r.x with x = n + 1, whatever r is."""
+    word = [n + 1]
+    for sigma in sequences:
+        word += [*sigma, n + 1]
+    return word
+
+
+def missed_count(word, m):
+    """How many permutations of 1..m are not subsequences of word: a DP
+    over letter sets that counts the orderings of each set by the position
+    at which their greedy embedding ends, len(word) + 1 for those that do
+    not fit, read for the full set at len(word) + 1."""
+    end = len(word) + 1
+    nxt = next_positions(word, m)
+    counts = [[1] + [0] * end]  # the empty ordering ends at 0
+    for S in range(1, 1 << m):
+        row = [0] * (end + 1)
+        for a in range(m):
+            if S >> a & 1:
+                for p, count in enumerate(counts[S & ~(1 << a)]):
+                    row[nxt[a][p]] += count
+        counts.append(row)
+    return counts[-1][end]
+
+
 @pytest.mark.parametrize(
     "bad",
     [0, 5, 1.5, "1", 1.0, np.float64(2.0)],
@@ -806,11 +871,13 @@ class TestQuasiPalindrome:
 
 
 class TestResultTypes:
-    # each fact is stored once: the verdict, the failed depth, whether a
-    # bijection was found and the largest M-set follow from the fields
+    # each fact is stored once: the verdict, the mode, the failed depth,
+    # whether a bijection was found and the largest M-set follow from the
+    # fields
     DERIVED = [
         (verify.Witness, "failed_k"),
         (verify.VerificationReport, "verdict"),
+        (verify.VerificationReport, "mode"),
         (verify.VerificationReport, "passed"),
         (verify.BijectionReport, "found"),
         (verify.MSetTrace, "max_size"),
@@ -846,10 +913,15 @@ class TestResultTypes:
     def test_reports_cannot_contradict_themselves(self):
         witness = verify.Witness((3, 1, 2), direction="backward")
         assert witness.failed_k == 3
-        report = verify.VerificationReport(mode="exhaustive", witness=witness)
+        report = verify.VerificationReport(witness=witness)
         assert (report.verdict, report.passed) == ("fail", False)
-        report = verify.VerificationReport(mode="sampled", seed=7)
+        assert report.mode == "exhaustive"
+        report = verify.VerificationReport(seed=7)
         assert (report.verdict, report.passed) == ("pass", True)
+        assert report.mode == "sampled"  # a run is sampled iff it has a seed
+        assert verify.VerificationReport(seed=0).mode == "sampled"
+        with pytest.raises(TypeError):
+            verify.VerificationReport(mode="sampled")
         assert verify.BijectionReport(conflict=(3, 2)).found is False
         assert verify.BijectionReport().found is False
         report = verify.BijectionReport(mapping={1: 2, 2: 1})
@@ -889,8 +961,8 @@ class TestResultTypes:
         assert (type(glist.s), type(glist.n)) == (int, int)
         rho = skip_chain_rho(glist, 12, 17)
         assert rho == skip_chain_rho(gen_ts(3, 18), 12, 17)
-        trace = trace_m_sets(glist, rho, 12)
-        assert trace == trace_m_sets(gen_ts(3, 18), rho, 12)
+        trace = trace_m_sets(glist, rho)
+        assert trace == trace_m_sets(gen_ts(3, 18), rho)
         assert (trace.max_size, type(trace.max_size)) == (2, int)
         assert type(trace.terminated_at) is int
 
@@ -2093,7 +2165,7 @@ class TestAdversarial:
                 for last in range(n - s + 2, n + 1)
             ]
             for k, last in chains:
-                trace = trace_m_sets(glist, skip_chain_rho(glist, k, last), k)
+                trace = trace_m_sets(glist, skip_chain_rho(glist, k, last))
                 step = next(
                     ((j, m_set) for j, m_set in trace.steps
                      if len(m_set) == 1 and j > 2),
@@ -2126,7 +2198,7 @@ class TestTraceMSets:
     def test_worked_example_first_steps(self):
         glist = gen_ts(3, 18)
         rho = (1, 2, 3, 4, 5, 6, 7, 9, 10, 8, 18, 17)
-        trace = trace_m_sets(glist, rho, 12)
+        trace = trace_m_sets(glist, rho)
         assert trace.steps[0] == (11, frozenset({18, 8}))
         assert trace.steps[1] == (10, frozenset({8, 9}))
 
@@ -2137,12 +2209,12 @@ class TestTraceMSets:
         rho = list(skip_chain_rho(glist, 12, 17))
         rho[10] = 8  # rho[11] = 8 branch
         rho[9] = 18  # keep letters distinct
-        trace = trace_m_sets(glist, tuple(rho), 12)
+        trace = trace_m_sets(glist, tuple(rho))
         assert trace.steps[1] == (10, frozenset({9}))
 
     def test_max_occupancy_chain_reaches_sigma_1(self):
         glist = gen_ts(3, 18)
-        trace = trace_m_sets(glist, skip_chain_rho(glist, 12, 17), 12)
+        trace = trace_m_sets(glist, skip_chain_rho(glist, 12, 17))
         assert trace.steps[-1] == (1, frozenset())
         assert trace.terminated_at == 1
         assert trace.max_size <= 2
@@ -2152,14 +2224,14 @@ class TestTraceMSets:
             glist = generate(s, n)
             for k in glist.skip_indices():
                 for a in range(n - s + 2, n + 1):
-                    trace = trace_m_sets(glist, skip_chain_rho(glist, k, a), k)
+                    trace = trace_m_sets(glist, skip_chain_rho(glist, k, a))
                     assert trace.max_size <= s - 1
 
     def test_agrees_with_naive_on_seeded_rho(self):
         reasons = collections.Counter()
         outputs = []
         for glist, rho, k in trace_corpus():
-            trace = trace_m_sets(glist, rho, k)
+            trace = trace_m_sets(glist, rho)
             steps = tuple((idx, tuple(sorted(m))) for idx, m in trace.steps)
             got = (steps, trace.terminated_at, trace.max_size)
             expected, reason = naive_m_sets(glist, rho, k)
@@ -2184,7 +2256,7 @@ class TestTraceMSets:
             for k in glist.skip_indices():
                 for last in skip_letters(s, n):
                     rho = skip_chain_rho(glist, k, last)
-                    trace = trace_m_sets(glist, rho, k)
+                    trace = trace_m_sets(glist, rho)
                     expected = naive_max_occupancy(glist, k, last)
                     assert trace.max_size == expected, (s, n, k, last)
                     for idx, m_set in trace.steps:
@@ -2215,7 +2287,7 @@ class TestTraceMSets:
 
         glist = generate(42, 999)
         rho, chain_peak = peak(lambda: skip_chain_rho(glist, 915, 999))
-        trace, trace_peak = peak(lambda: trace_m_sets(glist, rho, 915))
+        trace, trace_peak = peak(lambda: trace_m_sets(glist, rho))
         assert chain_peak < 1 << 20, chain_peak
         assert trace_peak < 4 << 20, trace_peak
         # the chain and the trace as recorded with the table
@@ -2233,49 +2305,45 @@ class TestTraceMSets:
         with pytest.raises(ValueError, match="k=-6 outside 1..18"):
             skip_chain_rho(glist, -6, 17)
         with pytest.raises(ValueError, match="k=19 outside 1..18"):
-            trace_m_sets(glist, tuple(range(1, 19)) + (17,), 19)
+            trace_m_sets(glist, tuple(range(1, 19)) + (17,))
         with pytest.raises(ValueError, match="skip-sequence"):
-            trace_m_sets(glist, tuple(range(1, 12)), 11)
+            trace_m_sets(glist, tuple(range(1, 12)))
         with pytest.raises(ValueError, match="skip letter"):
-            trace_m_sets(glist, tuple(range(1, 13)), 12)
+            trace_m_sets(glist, tuple(range(1, 13)))
         # the chain must end in a skip letter, 17 or 18 here
         for last in (-1, 0, 5, 40):
             message = f"rho\\[12\\]={last} is not a skip letter"
             with pytest.raises(ValueError, match=message):
                 skip_chain_rho(glist, 12, last)
             with pytest.raises(ValueError, match=message):
-                trace_m_sets(glist, tuple(range(1, 12)) + (last,), 12)
-        # a short rho is judged by its last letter, an empty one by its length
-        with pytest.raises(ValueError, match="rho\\[12\\]=3 is not a skip"):
-            trace_m_sets(glist, (1, 2, 3), 12)
-        with pytest.raises(ValueError, match="rho has length 2, expected k=12"):
-            trace_m_sets(glist, (1, 17), 12)
-        with pytest.raises(ValueError, match="rho has length 0, expected k=12"):
-            trace_m_sets(glist, (), 12)
-        with pytest.raises(ValueError, match="k=11 is not a skip-sequence"):
-            trace_m_sets(glist, (), 11)
-        with pytest.raises(ValueError, match="k=99 outside 1..18"):
-            trace_m_sets(glist, (), 99)
+                trace_m_sets(glist, tuple(range(1, 12)) + (last,))
+        # k is rho's length, so a short or empty rho is refused for its k
+        with pytest.raises(ValueError, match="k=3 is not a skip-sequence"):
+            trace_m_sets(glist, (1, 2, 3))
+        with pytest.raises(ValueError, match="k=2 is not a skip-sequence"):
+            trace_m_sets(glist, (1, 17))
+        with pytest.raises(ValueError, match="k=0 outside 1..18"):
+            trace_m_sets(glist, ())
         # the README's rho with its first letter repeated, out of range or
         # not an integer
         rho = (1, 16, 15, 14, 13, 12, 11, 10, 9, 8, 18, 17)
         for first in (16, 0, 19, 1.0, 1.5, "1"):
             message = "^rho must have distinct letters from 1..n$"
             with pytest.raises(ValueError, match=message):
-                trace_m_sets(glist, (first,) + rho[1:], 12)
+                trace_m_sets(glist, (first,) + rho[1:])
         # a skip letter must be an integer too, and a numpy one reads as
         # its int
         message = "^rho\\[12\\]=17.0 is not a skip letter$"
         with pytest.raises(ValueError, match=message):
             skip_chain_rho(glist, 12, 17.0)
         with pytest.raises(ValueError, match=message):
-            trace_m_sets(glist, tuple(map(float, rho)), 12)
+            trace_m_sets(glist, tuple(map(float, rho)))
         chain = skip_chain_rho(glist, 12, np.int64(17))
         assert chain == skip_chain_rho(glist, 12, 17)
         assert all(type(a) is int for a in chain)
-        expected = trace_m_sets(glist, rho, 12)
-        assert trace_m_sets(glist, [np.int64(a) for a in rho], 12) == expected
-        assert trace_m_sets(glist, np.array(rho, dtype=np.uint8), 12) == expected
+        expected = trace_m_sets(glist, rho)
+        assert trace_m_sets(glist, [np.int64(a) for a in rho]) == expected
+        assert trace_m_sets(glist, np.array(rho, dtype=np.uint8)) == expected
 
 
 def _unpruned_oracle(m):
@@ -2445,3 +2513,76 @@ class TestOracle:
             else:
                 failing += 1
         assert passing >= 300 and failing >= 300
+
+
+class TestCutVerdict:
+    def test_agrees_with_exhaustive_on_random_lists(self):
+        # seeded lists over n <= 6 of 1 to n + 1 sequences, each of
+        # distinct letters; on those of exactly n sequences the word was
+        # universal iff the list was strongly complete, a seeded
+        # observation recorded with its counts, not a theorem
+        rng = random.Random(1)
+        square = collections.Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            sequences = [
+                tuple(rng.sample(range(1, n + 1), rng.randint(0, n)))
+                for _ in range(rng.randint(1, n + 1))
+            ]
+            word = interposed_word(sequences, n)
+            universal = verify_supersequence_exhaustive(word, n + 1).passed
+            assert cut_verdict(sequences, n) == universal, sequences
+            if len(sequences) == n:
+                strong = strongly_complete(sequences, n) is None
+                square[universal, strong] += 1
+        assert square == {(False, False): 644, (True, True): 157}
+
+    def test_agrees_with_exhaustive_on_damaged_lists(self):
+        # generated lists with 1 to 3 seeded deletions or substitutions
+        rng = random.Random(3)
+        verdicts = collections.Counter()
+        for glist in (gen_t1(5), gen_t1(6), gen_t1(7), gen_t2(9)):
+            n = glist.n
+            assert cut_verdict(glist.sequences, n)
+            for _ in range(25):
+                sequences = [list(sigma) for sigma in glist.sequences]
+                for _ in range(rng.randint(1, 3)):
+                    sigma = rng.choice(sequences)
+                    j = rng.randrange(len(sigma))
+                    if rng.random() < 0.5:
+                        del sigma[j]
+                    else:
+                        sigma[j] = rng.randint(1, n)
+                word = interposed_word(sequences, n)
+                universal = verify_supersequence_exhaustive(word, n + 1).passed
+                assert cut_verdict(sequences, n) == universal, sequences
+                verdicts[universal] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+
+
+class TestMissedCount:
+    def test_agrees_with_permutations_on_random_words(self):
+        rng = random.Random(4)
+        missing = 0
+        for _ in range(200):
+            m = rng.randint(1, 6)
+            word = rng.choices(range(1, m + 1), k=rng.randint(0, m * m))
+            expected = sum(
+                not is_subsequence(p, word)
+                for p in itertools.permutations(range(1, m + 1))
+            )
+            assert missed_count(word, m) == expected, (word, m)
+            missing += expected > 0
+        assert 0 < missing < 200
+
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_built_words_miss_none(self, m):
+        word = construct_for_m(m).word
+        assert missed_count(word, m) == 0
+        # the word with its middle letter deleted misses some, counted
+        cut = word[: len(word) // 2] + word[len(word) // 2 + 1 :]
+        expected = sum(
+            not is_subsequence(p, cut)
+            for p in itertools.permutations(range(1, m + 1))
+        )
+        assert missed_count(cut, m) == expected > 0
